@@ -1,10 +1,9 @@
 """Benchmark harness behind ``repro bench``.
 
 Each benchmark times an optimized path against its escape-hatch
-baseline (``--no-incremental`` / ``--no-memo`` / ``--no-vector``
-equivalents) and checks that both produce **identical results** — the
-speedups this repo claims are only meaningful because the optimizations
-are bit-exact.
+baseline (``--no-incremental`` / ``--no-memo`` equivalents) and checks
+that both produce **identical results** — the speedups this repo claims
+are only meaningful because the optimizations are bit-exact.
 
 Event throughput counts :attr:`~repro.simulator.engine.FluidEngine.
 TOTAL_EVENTS` — every engine loop iteration the timed section paid for,
@@ -154,7 +153,7 @@ def _sampled_total_events(fn):
     return result, FluidEngine.TOTAL_EVENTS - before
 
 
-def bench_replay(quick: bool = False, vector: bool = True) -> BenchResult:
+def bench_replay(quick: bool = False) -> BenchResult:
     """Twin-trace replay under Fuxi and DelayStage, as ``repro replay``."""
     from repro.core.delaystage import DelayStageParams
     from repro.schedulers.delaystage import DelayStageScheduler
@@ -167,14 +166,13 @@ def bench_replay(quick: bool = False, vector: bool = True) -> BenchResult:
     jobs, cluster = _replay_inputs(num_jobs, seed)
 
     def _run(optimized: bool) -> tuple[list[float], int, int]:
-        vec = vector and optimized
         fuxi = FuxiScheduler(track_metrics=False, contention_penalty=penalty,
-                             incremental=optimized, vector=vec)
+                             incremental=optimized)
         ds = DelayStageScheduler(
             profiled=False, track_metrics=False, contention_penalty=penalty,
             params=DelayStageParams(max_slots=12, memoize=optimized,
                                     bound_prune=optimized),
-            incremental=optimized, vector=vec,
+            incremental=optimized,
         )
 
         def _batch():
@@ -197,7 +195,7 @@ def bench_replay(quick: bool = False, vector: bool = True) -> BenchResult:
     manifest = build_manifest(
         seed=seed,
         config={"bench": "replay", "jobs": num_jobs, "penalty": penalty,
-                "quick": quick, "vector": vector},
+                "quick": quick},
     )
     return BenchResult(
         name="replay",
@@ -209,7 +207,7 @@ def bench_replay(quick: bool = False, vector: bool = True) -> BenchResult:
         manifest_hash=manifest.config_hash,
         config={"jobs": num_jobs, "seed": seed, "penalty": penalty,
                 "engine_events": events, "total_events": total,
-                "quick": quick, "vector": vector,
+                "quick": quick,
                 "pre_pr_reference": dict(_REPLAY_PRE_PR_REFERENCE)},
     )
 
@@ -220,9 +218,9 @@ def bench_replay(quick: bool = False, vector: bool = True) -> BenchResult:
 # event triggers an allocation over a large active set)
 
 
-def bench_realloc(quick: bool = False, vector: bool = True) -> BenchResult:
-    """Concurrent multi-job simulation: scoped allocator + vector engine
-    vs full re-solve on the scalar object engine."""
+def bench_realloc(quick: bool = False) -> BenchResult:
+    """Concurrent multi-job simulation: scoped allocator vs full
+    re-solve."""
     from repro.schedulers.fuxi import FuxiScheduler
     from repro.schedulers.runner import run_jobs_with_scheduler
 
@@ -232,8 +230,7 @@ def bench_realloc(quick: bool = False, vector: bool = True) -> BenchResult:
 
     def _run(optimized: bool):
         sched = FuxiScheduler(track_metrics=False, contention_penalty=0.5,
-                              incremental=optimized,
-                              vector=vector and optimized)
+                              incremental=optimized)
         result = run_jobs_with_scheduler(jobs, cluster, sched)
         jcts = [result.job_completion_time(j.job_id) for j in jobs]
         return jcts, int(result.counters.get("engine_events", 0))
@@ -244,8 +241,7 @@ def bench_realloc(quick: bool = False, vector: bool = True) -> BenchResult:
     jcts, events = opt
     manifest = build_manifest(
         seed=seed,
-        config={"bench": "realloc", "jobs": num_jobs, "quick": quick,
-                "vector": vector},
+        config={"bench": "realloc", "jobs": num_jobs, "quick": quick},
     )
     return BenchResult(
         name="realloc",
@@ -256,7 +252,7 @@ def bench_realloc(quick: bool = False, vector: bool = True) -> BenchResult:
         equivalent=jcts == base[0],
         manifest_hash=manifest.config_hash,
         config={"jobs": num_jobs, "seed": seed,
-                "engine_events": events, "quick": quick, "vector": vector,
+                "engine_events": events, "quick": quick,
                 "pre_pr_reference": dict(_REALLOC_PRE_PR_REFERENCE)},
     )
 
@@ -285,7 +281,7 @@ _ALG1_PRE_PR_REFERENCE = {
 }
 
 
-def bench_alg1(quick: bool = False, vector: bool = True) -> BenchResult:
+def bench_alg1(quick: bool = False) -> BenchResult:
     """Full ALS planning scan: memo + bound pruning vs plain Alg. 1."""
     from repro.cluster.spec import uniform_cluster
     from repro.core.delaystage import DelayStageParams, delay_stage_schedule
@@ -302,15 +298,12 @@ def bench_alg1(quick: bool = False, vector: bool = True) -> BenchResult:
 
     def _run(optimized: bool):
         # The baseline engages every escape hatch, like the CLI's
-        # --no-incremental --no-memo --no-vector bisection path: plain
-        # Algorithm 1 whose candidate evaluations re-solve fair sharing
-        # globally on the scalar object engine.
+        # --no-incremental --no-memo bisection path: plain Algorithm 1
+        # whose candidate evaluations re-solve fair sharing globally.
         params = DelayStageParams(
             memoize=optimized, bound_prune=optimized,
             sim_config=SimulationConfig(
-                track_metrics=False, vector=vector)
-            if optimized else SimulationConfig(
-                track_metrics=False, incremental=False, vector=False),
+                track_metrics=False, incremental=optimized),
         )
         schedule = None
         for _ in range(iters):
@@ -344,12 +337,11 @@ def bench_alg1(quick: bool = False, vector: bool = True) -> BenchResult:
         config={"workload": "als", "iters": iters, "repeats": repeats,
                 "evaluations": opt.evaluations,
                 "baseline_evaluations": base.evaluations, "quick": quick,
-                "vector": vector,
                 "pre_pr_reference": dict(_ALG1_PRE_PR_REFERENCE)},
     )
 
 
-BENCHMARKS: "dict[str, Callable[[bool, bool], BenchResult]]" = {
+BENCHMARKS: "dict[str, Callable[[bool], BenchResult]]" = {
     "realloc": bench_realloc,
     "alg1": bench_alg1,
     "replay": bench_replay,
@@ -369,21 +361,14 @@ def _select(names: "list[str] | None") -> list[str]:
 def run_benchmarks(
     names: "list[str] | None" = None,
     quick: bool = False,
-    vector: bool = True,
 ) -> list[BenchResult]:
-    """Run the named benchmarks (all by default) in definition order.
-
-    ``vector=False`` runs each benchmark's *optimized* arm on the scalar
-    object engine (the ``--no-vector`` hatch) so CI can gate both modes;
-    the escape-hatch baseline arm always runs with every hatch engaged.
-    """
-    return [BENCHMARKS[name](quick, vector) for name in _select(names)]
+    """Run the named benchmarks (all by default) in definition order."""
+    return [BENCHMARKS[name](quick) for name in _select(names)]
 
 
 def profile_benchmarks(
     names: "list[str] | None" = None,
     quick: bool = True,
-    vector: bool = True,
     top: "int | None" = None,
 ):
     """Run benchmarks under cProfile; returns (result, report) pairs.
@@ -398,7 +383,7 @@ def profile_benchmarks(
     pairs = []
     for name in _select(names):
         result, report = capture_hotspots(
-            lambda name=name: BENCHMARKS[name](quick, vector),
+            lambda name=name: BENCHMARKS[name](quick),
             name=name,
             top=top or DEFAULT_TOP,
         )

@@ -258,28 +258,24 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # what populates the per-node counter tracks (``inspect --counters``)
     # — and it never changes the simulated dynamics.
     track = tracer is not None
-    vector = not getattr(args, "no_vector", False)
     if plan is not None:
         # AggShuffle's pipelined shuffle is incompatible with fault
         # injection, so Fuxi stands in as the immediate-submission
         # baseline; a replanning DelayStage variant joins so recovery
         # with and without Algorithm 1 re-solving can be compared.
         schedulers = [
-            StockSparkScheduler(track_metrics=track, fault_plan=plan,
-                                vector=vector),
-            FuxiScheduler(track_metrics=track, fault_plan=plan,
-                          vector=vector),
+            StockSparkScheduler(track_metrics=track, fault_plan=plan),
+            FuxiScheduler(track_metrics=track, fault_plan=plan),
             DelayStageScheduler(profiled=not args.oracle, track_metrics=track,
-                                fault_plan=plan, vector=vector),
+                                fault_plan=plan),
             DelayStageScheduler(profiled=not args.oracle, track_metrics=track,
-                                fault_plan=plan, replan=True, vector=vector),
+                                fault_plan=plan, replan=True),
         ]
     else:
         schedulers = [
-            StockSparkScheduler(track_metrics=track, vector=vector),
-            AggShuffleScheduler(track_metrics=track, vector=vector),
-            DelayStageScheduler(profiled=not args.oracle, track_metrics=track,
-                                vector=vector),
+            StockSparkScheduler(track_metrics=track),
+            AggShuffleScheduler(track_metrics=track),
+            DelayStageScheduler(profiled=not args.oracle, track_metrics=track),
         ]
     manifest = build_manifest(
         seed=0,
@@ -743,15 +739,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
         return 2
     incremental = not getattr(args, "no_incremental", False)
     memo = not getattr(args, "no_memo", False)
-    vector = not getattr(args, "no_vector", False)
     fuxi = FuxiScheduler(track_metrics=False, contention_penalty=args.penalty,
-                         incremental=incremental, fault_plan=plan,
-                         vector=vector)
+                         incremental=incremental, fault_plan=plan)
     ds = DelayStageScheduler(
         profiled=False, track_metrics=False, contention_penalty=args.penalty,
         params=DelayStageParams(max_slots=12, memoize=memo, bound_prune=memo),
         incremental=incremental, fault_plan=plan,
-        replan=plan is not None, vector=vector,
+        replan=plan is not None,
     )
     manifest = build_manifest(
         seed=args.seed,
@@ -1029,12 +1023,10 @@ def cmd_tail(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import run_benchmarks, write_results
 
-    vector = not getattr(args, "no_vector", False)
     if getattr(args, "profile", False):
         from repro.bench import profile_benchmarks, write_profiles
 
-        pairs = profile_benchmarks(args.benchmarks, quick=args.quick,
-                                   vector=vector)
+        pairs = profile_benchmarks(args.benchmarks, quick=args.quick)
         reports = [report for _, report in pairs]
         # Profiled wall times are distorted (the tracer taxes Python
         # calls, not numpy kernels), so only the hotspot tables and the
@@ -1044,7 +1036,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "command": "bench",
             "quick": args.quick,
             "profile": True,
-            "vector": vector,
             "results": [
                 {"name": rep.name, "equivalent": res.equivalent,
                  "total_calls": rep.total_calls,
@@ -1062,12 +1053,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _finish(args, payload, "\n".join(lines))
         return 0 if ok else 1
 
-    results = run_benchmarks(args.benchmarks, quick=args.quick, vector=vector)
+    results = run_benchmarks(args.benchmarks, quick=args.quick)
     paths = write_results(results, args.out) if args.out else []
     payload = {
         "command": "bench",
         "quick": args.quick,
-        "vector": vector,
         "results": [r.to_dict() for r in results],
         "written": paths,
     }
@@ -1253,10 +1243,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload_args(p)
     p.add_argument("--oracle", action="store_true",
                    help="plan on true parameters instead of profiling")
-    p.add_argument("--no-vector", action="store_true",
-                   help="bisection switch: scalar object engine instead "
-                        "of the vectorized event core (results "
-                        "identical, slower)")
     add_faults_args(p)
     add_json_arg(p)
     add_trace_args(p)
@@ -1355,10 +1341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-memo", action="store_true",
                    help="bisection switch: disable Algorithm 1 "
                         "memoization and bound pruning (results "
-                        "identical, slower)")
-    p.add_argument("--no-vector", action="store_true",
-                   help="bisection switch: scalar object engine instead "
-                        "of the vectorized event core (results "
                         "identical, slower)")
     add_faults_args(p)
     add_json_arg(p)
@@ -1471,10 +1453,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="watchdog wall-time regression factor "
                         "(default: 1.5x; only applied to baselines "
                         "with comparable inputs)")
-    p.add_argument("--no-vector", action="store_true",
-                   help="run the optimized arms on the scalar object "
-                        "engine (--no-vector mode); the escape-hatch "
-                        "baseline arm is unchanged")
     p.add_argument("--profile", action="store_true",
                    help="run each bench under cProfile and write "
                         "PROFILE_<name>.txt hotspot tables to --out "

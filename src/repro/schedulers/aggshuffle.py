@@ -36,14 +36,12 @@ class AggShuffleScheduler(Scheduler):
         cpu_penalty: float = 0.15,
         track_metrics: bool = True,
         track_occupancy: bool = False,
-        vector: bool = True,
     ) -> None:
         self._config = SimulationConfig(
             pipelined_shuffle=True,
             aggshuffle_cpu_penalty=cpu_penalty,
             track_metrics=track_metrics,
             track_occupancy=track_occupancy,
-            vector=vector,
         )
 
     def prepare(

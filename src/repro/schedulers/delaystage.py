@@ -63,7 +63,6 @@ class DelayStageScheduler(Scheduler):
         incremental: bool = True,
         fault_plan=None,
         replan: bool = False,
-        vector: bool = True,
     ) -> None:
         self.params = params or DelayStageParams(order=order)
         if contention_penalty > 0.0 and self.params.sim_config is None:
@@ -83,12 +82,6 @@ class DelayStageScheduler(Scheduler):
             self.params = replace(
                 self.params, sim_config=replace(base, incremental=False)
             )
-        if not vector:
-            # Same end-to-end bisection contract as --no-incremental:
-            # the planning evaluations drop to the scalar object engine
-            # alongside the execution run.
-            base = self.params.sim_config or SimulationConfig(track_metrics=False)
-            self.params = replace(self.params, sim_config=replace(base, vector=False))
         self.profiled = profiled
         self.sample_fraction = sample_fraction
         self.profiling_noise = profiling_noise
@@ -101,7 +94,6 @@ class DelayStageScheduler(Scheduler):
             contention_penalty=contention_penalty,
             incremental=incremental,
             fault_plan=fault_plan,
-            vector=vector,
         )
         order_name = PathOrder(self.params.order).value
         self.name = "delaystage" if order_name == "descending" else f"delaystage-{order_name}"

@@ -32,14 +32,12 @@ class FuxiScheduler(Scheduler):
         contention_penalty: float = 0.0,
         incremental: bool = True,
         fault_plan=None,
-        vector: bool = True,
     ) -> None:
         self._config = SimulationConfig(
             track_metrics=track_metrics,
             contention_penalty=contention_penalty,
             incremental=incremental,
             fault_plan=fault_plan,
-            vector=vector,
         )
 
     def prepare(

@@ -25,13 +25,11 @@ class StockSparkScheduler(Scheduler):
         track_metrics: bool = True,
         track_occupancy: bool = False,
         fault_plan=None,
-        vector: bool = True,
     ) -> None:
         self._config = SimulationConfig(
             track_metrics=track_metrics,
             track_occupancy=track_occupancy,
             fault_plan=fault_plan,
-            vector=vector,
         )
 
     def prepare(

@@ -88,13 +88,12 @@ class FluidEngine:
     EPS = 1e-9
 
     #: Process-wide count of loop iterations across every engine
-    #: instance (subclasses included), accumulated when :meth:`run`
-    #: returns.  Whole-pipeline throughput accounting: a scheduler run
-    #: drives many engines — Algorithm 1's planning probes simulate the
-    #: job dozens of times before the final execution run — and this
-    #: counter is the only place that total is visible.  The bench
-    #: harness samples it around a timed section; simulations never
-    #: read it.
+    #: instance, accumulated when :meth:`run` returns.  Whole-pipeline
+    #: throughput accounting: a scheduler run drives many engines —
+    #: Algorithm 1's planning probes simulate the job dozens of times
+    #: before the final execution run — and this counter is the only
+    #: place that total is visible.  The bench harness samples it
+    #: around a timed section; simulations never read it.
     TOTAL_EVENTS = 0
 
     def __init__(

@@ -26,7 +26,7 @@ re-solve.
 
 Because each dirty group is re-solved by the *same* functions the full
 allocator uses (``compute_shares`` / ``disk_shares`` /
-``maxmin_network_rates``) on the same item subsets in the same order,
+``maxmin_rates_seq``) on the same item subsets in the same order,
 the resulting rates are bit-identical to a full re-solve — a property
 the test suite asserts with hypothesis (`tests/test_perf_equivalence.py`)
 and that makes ``--no-incremental`` a pure bisection switch rather than
@@ -54,7 +54,6 @@ from repro.verify import sanitizer as _sanitizer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.engine import WorkItem
     from repro.simulator.simulation import Simulation
-    from repro.simulator.vector import VectorCore
 
 
 class ScopedAllocator:
@@ -71,15 +70,10 @@ class ScopedAllocator:
     #: costs more than the global water-filling it would avoid.
     SMALL_FLOW_SET = 16
 
-    __slots__ = ("_sim", "_core", "scoped_solves", "network_components_solved")
+    __slots__ = ("_sim", "scoped_solves", "network_components_solved")
 
-    def __init__(self, sim: "Simulation", core: "VectorCore | None" = None) -> None:
+    def __init__(self, sim: "Simulation") -> None:
         self._sim = sim
-        #: Struct-of-arrays core of a vector engine, when one drives this
-        #: allocator.  Its kind partition (flows / per-node demands /
-        #: per-node writes) is maintained O(1) per membership change by
-        #: the engine, replacing the full type-dispatch scan below.
-        self._core = core
         #: Telemetry: scoped re-solves performed (vs full allocations,
         #: counted by the engine).
         self.scoped_solves = 0
@@ -92,7 +86,7 @@ class ScopedAllocator:
         items: "list[WorkItem]",
         added: "list[WorkItem]",
         removed: "list[WorkItem]",
-    ) -> "list[WorkItem]":
+    ) -> None:
         sim = self._sim
         # Inline equivalent of collecting item.alloc_groups() into one
         # dirty set — the kind check avoids a tuple allocation per item
@@ -119,68 +113,36 @@ class ScopedAllocator:
                 else:  # pragma: no cover - no other kinds exist
                     raise TypeError(f"unknown work item {kind.__name__}")
         if not (dirty_cpu or dirty_disk or dirty_net):
-            return []
+            return
         self.scoped_solves += 1
 
         want_net = bool(dirty_net)
-        demands: list[ComputeDemand]
-        writes: list[DiskWrite]
-        flows: list[NetworkFlow]
-        all_demands: "list[ComputeDemand] | None" = None
-        core = self._core
-        if core is not None and core.active:
-            # The vector engine maintains the kind partition as
-            # membership changes while in vector mode, so collecting
-            # dirty groups is O(group size) instead of a type-dispatch
-            # pass over every active item.  (In scalar mode the
-            # partition is not maintained and the scan below runs.)
-            # Dirty nodes are visited in sorted order (a set would be
-            # deterministic per run but order-dependent across runs);
-            # the per-node solvers and the contention penalty are
-            # order-independent in value, and the network solve below
-            # recovers engine order from item positions.
-            demands = []
-            demands_at = core.demands_at
-            for node in sorted(dirty_cpu):
-                group = demands_at.get(node)
-                if group:
-                    demands.extend(group)
-            writes = []
-            writes_at = core.writes_at
-            for node in sorted(dirty_disk):
-                group = writes_at.get(node)
-                if group:
-                    writes.extend(group)
-            flows = core.flows_in_engine_order(items) if want_net else []
-            if _sanitizer.ENABLED and sim.config.task_granular:
-                all_demands = [d for g in demands_at.values() for d in g]
-        else:
-            # One pass over the active set, in engine order (the same
-            # order the full allocator sees), keeping only items in
-            # dirty groups.
-            demands = []
-            writes = []
-            flows = []
-            append_demand = demands.append
-            append_write = writes.append
-            append_flow = flows.append
-            if _sanitizer.ENABLED and sim.config.task_granular:
-                all_demands = []
-            for item in items:
-                kind = type(item)
-                if kind is flow_cls:
-                    if want_net:
-                        append_flow(item)
-                elif kind is demand_cls:
-                    if all_demands is not None:
-                        all_demands.append(item)
-                    if item.node in dirty_cpu:
-                        append_demand(item)
-                elif kind is write_cls:
-                    if item.node in dirty_disk:
-                        append_write(item)
-                else:  # pragma: no cover - no other kinds exist
-                    raise TypeError(f"unknown work item {kind.__name__}")
+        # One pass over the active set, in engine order (the same order
+        # the full allocator sees), keeping only items in dirty groups.
+        demands: list[ComputeDemand] = []
+        writes: list[DiskWrite] = []
+        flows: list[NetworkFlow] = []
+        append_demand = demands.append
+        append_write = writes.append
+        append_flow = flows.append
+        all_demands: "list[ComputeDemand] | None" = (
+            [] if _sanitizer.ENABLED and sim.config.task_granular else None
+        )
+        for item in items:
+            kind = type(item)
+            if kind is flow_cls:
+                if want_net:
+                    append_flow(item)
+            elif kind is demand_cls:
+                if all_demands is not None:
+                    all_demands.append(item)
+                if item.node in dirty_cpu:
+                    append_demand(item)
+            elif kind is write_cls:
+                if item.node in dirty_disk:
+                    append_write(item)
+            else:  # pragma: no cover - no other kinds exist
+                raise TypeError(f"unknown work item {kind.__name__}")
 
         if demands:
             if sim.config.task_granular:
@@ -214,14 +176,6 @@ class ScopedAllocator:
         penalty = sim.config.contention_penalty
         if penalty > 0.0 and (demands or writes or solved_flows):
             sim._apply_contention_penalty(demands, writes, solved_flows, penalty)
-
-        # Exactly the items whose rates this solve may have rewritten —
-        # a vector engine scatters only these rows back into its arrays.
-        touched: "list[WorkItem]" = []
-        touched.extend(demands)
-        touched.extend(writes)
-        touched.extend(solved_flows)
-        return touched
 
     # ------------------------------------------------------------------ #
 

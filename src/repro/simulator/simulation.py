@@ -34,7 +34,6 @@ from repro.cluster.topology import Topology
 from repro.dag.job import Job
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulator.engine import FluidEngine
-from repro.simulator.vector import VectorFluidEngine
 from repro.simulator.events import EventKind, SimEvent
 from repro.simulator.fairshare import compute_shares, disk_shares, maxmin_rates_seq
 from repro.simulator.flows import ComputeDemand, DiskWrite, NetworkFlow
@@ -149,14 +148,6 @@ class SimulationConfig:
     #: ``pipelined_shuffle``, ``task_granular``, and ``fanin`` (those
     #: modes place work the injector cannot requeue faithfully).
     fault_plan: "FaultPlan | None" = None
-    #: Struct-of-arrays event core: run the fluid loop on
-    #: :class:`repro.simulator.vector.VectorFluidEngine`, which keeps
-    #: remaining volume / rate / completion threshold in flat numpy
-    #: arrays and evaluates the per-event scans as vector kernels.
-    #: Results are bit-identical to the scalar object engine (same
-    #: records, event-log bytes, and telemetry streams); disable
-    #: (``--no-vector``) only to bisect a suspected engine bug.
-    vector: bool = True
 
     def __post_init__(self) -> None:
         if self.aggshuffle_cpu_penalty < 0:
@@ -380,14 +371,13 @@ class Simulation:
             if self.config.track_metrics
             else None
         )
-        engine_cls = VectorFluidEngine if self.config.vector else FluidEngine
-        self.engine = engine_cls(
+        self.engine = FluidEngine(
             allocate=self._allocate,
             observe=self.metrics.observe if self.metrics else None,
             progress=progress,
         )
         self._scoped = (
-            ScopedAllocator(self, core=getattr(self.engine, "core", None))
+            ScopedAllocator(self)
             if self.config.incremental and not self.config.pipelined_shuffle
             else None
         )

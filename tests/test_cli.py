@@ -300,26 +300,6 @@ def test_inspect_counters_json(tmp_path, capsys):
     assert {r["counter"] for r in rows} >= {"cpu_busy", "net_in"}
 
 
-def test_replay_no_vector_identical_results(capsys):
-    assert main(["replay", "--jobs", "3", "--seed", "2", "--json"]) == 0
-    default = _json_out(capsys)["runs"]
-    assert main(["replay", "--jobs", "3", "--seed", "2", "--no-vector",
-                 "--json"]) == 0
-    hatched = _json_out(capsys)["runs"]
-    assert hatched == default
-
-
-def test_compare_no_vector_identical_results(capsys):
-    assert main(["compare", "--workload", "ALS", "--oracle", "--json"]) == 0
-    default = {name: run["jct_seconds"]
-               for name, run in _json_out(capsys)["runs"].items()}
-    assert main(["compare", "--workload", "ALS", "--oracle", "--no-vector",
-                 "--json"]) == 0
-    hatched = {name: run["jct_seconds"]
-               for name, run in _json_out(capsys)["runs"].items()}
-    assert hatched == default
-
-
 def test_bench_profile_writes_hotspot_tables(tmp_path, capsys):
     out = tmp_path / "prof"
     assert main(["bench", "--bench", "alg1", "--quick", "--profile",
@@ -331,14 +311,3 @@ def test_bench_profile_writes_hotspot_tables(tmp_path, capsys):
     # Profiled runs archive hotspot tables, never BENCH json.
     assert payload["written"] == [str(out / "PROFILE_alg1.txt")]
     assert not list(out.glob("BENCH_*.json"))
-
-
-def test_bench_no_vector_quick(tmp_path, capsys):
-    out = tmp_path / "bench"
-    assert main(["bench", "--bench", "alg1", "--quick", "--no-vector",
-                 "--out", str(out), "--json"]) == 0
-    payload = _json_out(capsys)
-    assert payload["vector"] is False
-    (entry,) = payload["results"]
-    assert entry["equivalent"]
-    assert entry["config"]["vector"] is False

@@ -19,6 +19,7 @@ Covers the PR's acceptance contract end to end:
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import shutil
@@ -368,6 +369,39 @@ class TestServer:
         status, _, body = _get(server.url + "/events?max=2")
         events = [json.loads(line) for line in body.splitlines()]
         assert status == 200 and len(events) == 2
+
+    @pytest.mark.parametrize("content_length", ["-1", "abc", None])
+    def test_submit_rejects_bad_content_length(self, content_length):
+        """A negative, non-numeric, or missing Content-Length is a 400
+        JSON error and never reaches the service."""
+        from repro.cluster.spec import uniform_cluster
+        from repro.service import ServiceCore
+        from repro.service.clock import VirtualClock
+        from repro.service.daemon import ServiceDaemon
+
+        core = ServiceCore(uniform_cluster(2),
+                           FuxiScheduler(track_metrics=False))
+        daemon = ServiceDaemon(core, VirtualClock())
+        with LiveServer(LiveHub(), port=0, control=daemon) as server:
+            conn = http.client.HTTPConnection(server.host, server.port,
+                                              timeout=10)
+            try:
+                conn.putrequest("POST", "/service/submit")
+                if content_length is not None:
+                    conn.putheader("Content-Length", content_length)
+                conn.putheader("Content-Type", "application/json")
+                conn.endheaders()
+                response = conn.getresponse()
+                status = response.status
+                ctype = response.headers.get("Content-Type", "")
+                body = json.loads(response.read().decode("utf-8"))
+            finally:
+                conn.close()
+        assert status == 400
+        assert ctype.startswith("application/json")
+        assert "error" in body
+        assert core.counters["submitted"] == 0
+        assert daemon.jobs_list() == []
 
 
 # --------------------------------------------------------------------- #

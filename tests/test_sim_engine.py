@@ -139,3 +139,49 @@ def test_mark_dirty_forces_reallocation():
     engine.schedule(0.5, engine.mark_dirty)
     engine.run()
     assert len(calls) >= 2
+
+
+def test_cancel_item_keeps_remaining():
+    """A cancelled item leaves with its advanced remaining volume and
+    never fires its completion."""
+    engine = FluidEngine(constant_rate_allocator(1.0))
+    fired = []
+    victim = WorkItem(100.0, fired.append)
+    engine.add_item(victim)
+    for i in range(5):
+        engine.add_item(WorkItem(10.0 + i))
+    grabbed = []
+
+    def grab():
+        assert engine.cancel_item(victim)
+        grabbed.append(victim.remaining)
+
+    engine.schedule(3.5, grab)
+    engine.run()
+    assert grabbed == [100.0 - 3.5]
+    assert fired == []
+    assert not engine.cancel_item(victim)
+
+
+def test_mass_completion_keeps_survivors_exact():
+    """Many items completing in one event are swap-removed together;
+    the survivors keep their exact remaining volumes."""
+    engine = FluidEngine(constant_rate_allocator(1.0))
+    order = []
+    for i in range(20):
+        volume = 5.0 if i % 2 == 0 else 50.0 + i
+        engine.add_item(WorkItem(volume, lambda t, i=i: order.append((i, t))))
+    engine.run(until=30.0)
+    assert sorted(order) == [(i, 5.0) for i in range(0, 20, 2)]
+    survivors = sorted(item.remaining for item in engine.active_items)
+    assert survivors == [50.0 + i - 30.0 for i in range(1, 20, 2)]
+
+
+def test_total_events_counter_accumulates():
+    """TOTAL_EVENTS sums loop iterations across engine instances."""
+    before = FluidEngine.TOTAL_EVENTS
+    for _ in range(2):
+        engine = FluidEngine(constant_rate_allocator(1.0))
+        engine.add_item(WorkItem(1.0))
+        engine.run()
+    assert FluidEngine.TOTAL_EVENTS >= before + 2
