@@ -1,9 +1,10 @@
 """Benchmark harness behind ``repro bench``.
 
-Each benchmark times an optimized path against its escape-hatch
-baseline (``--no-incremental`` / ``--no-memo`` equivalents) and checks
-that both produce **identical results** — the speedups this repo claims
-are only meaningful because the optimizations are bit-exact.
+Each benchmark times an optimized path against its baseline (the
+``--no-incremental`` full re-solve, plain Algorithm 1 without bound
+pruning) and checks that both produce **identical results** — the
+speedups this repo claims are only meaningful because the
+optimizations are bit-exact.
 
 Event throughput counts :attr:`~repro.simulator.engine.FluidEngine.
 TOTAL_EVENTS` — every engine loop iteration the timed section paid for,
@@ -97,8 +98,8 @@ def _interleaved(
 
 # --------------------------------------------------------------------- #
 # replay: the Fig. 14 twin-trace comparison (Fuxi + DelayStage, whose
-# per-job Algorithm 1 planning dominates), all optimizations vs the
-# --no-incremental --no-memo escape-hatch pipeline
+# per-job Algorithm 1 planning dominates), all optimizations vs full
+# re-solve allocation plus plain (unpruned) Algorithm 1
 
 
 def _replay_inputs(num_jobs: int, seed: int):
@@ -170,8 +171,7 @@ def bench_replay(quick: bool = False) -> BenchResult:
                              incremental=optimized)
         ds = DelayStageScheduler(
             profiled=False, track_metrics=False, contention_penalty=penalty,
-            params=DelayStageParams(max_slots=12, memoize=optimized,
-                                    bound_prune=optimized),
+            params=DelayStageParams(max_slots=12, bound_prune=optimized),
             incremental=optimized,
         )
 
@@ -258,7 +258,7 @@ def bench_realloc(quick: bool = False) -> BenchResult:
 
 
 # --------------------------------------------------------------------- #
-# alg1: memoized + bound-pruned Algorithm 1 scan on the ALS workload
+# alg1: bound-pruned Algorithm 1 scan on the ALS workload
 
 #: Controlled measurement against the commit *before* this perf layer
 #: landed (no scoped allocator, no memo/prune/probes, none of the
@@ -282,7 +282,7 @@ _ALG1_PRE_PR_REFERENCE = {
 
 
 def bench_alg1(quick: bool = False) -> BenchResult:
-    """Full ALS planning scan: memo + bound pruning vs plain Alg. 1."""
+    """Full ALS planning scan: bound pruning vs plain Alg. 1."""
     from repro.cluster.spec import uniform_cluster
     from repro.core.delaystage import DelayStageParams, delay_stage_schedule
     from repro.simulator.simulation import SimulationConfig
@@ -297,11 +297,11 @@ def bench_alg1(quick: bool = False) -> BenchResult:
     repeats = 2 if quick else 5
 
     def _run(optimized: bool):
-        # The baseline engages every escape hatch, like the CLI's
-        # --no-incremental --no-memo bisection path: plain Algorithm 1
-        # whose candidate evaluations re-solve fair sharing globally.
+        # The baseline is plain Algorithm 1 (no bound pruning) whose
+        # candidate evaluations re-solve fair sharing globally, as
+        # under the CLI's --no-incremental.
         params = DelayStageParams(
-            memoize=optimized, bound_prune=optimized,
+            bound_prune=optimized,
             sim_config=SimulationConfig(
                 track_metrics=False, incremental=optimized),
         )

@@ -738,12 +738,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
               "fault-annotated trace)")
         return 2
     incremental = not getattr(args, "no_incremental", False)
-    memo = not getattr(args, "no_memo", False)
     fuxi = FuxiScheduler(track_metrics=False, contention_penalty=args.penalty,
                          incremental=incremental, fault_plan=plan)
     ds = DelayStageScheduler(
         profiled=False, track_metrics=False, contention_penalty=args.penalty,
-        params=DelayStageParams(max_slots=12, memoize=memo, bound_prune=memo),
+        params=DelayStageParams(max_slots=12),
         incremental=incremental, fault_plan=plan,
         replan=plan is not None,
     )
@@ -1338,10 +1337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-incremental", action="store_true",
                    help="bisection switch: full fair-share re-solve on "
                         "every event (results identical, slower)")
-    p.add_argument("--no-memo", action="store_true",
-                   help="bisection switch: disable Algorithm 1 "
-                        "memoization and bound pruning (results "
-                        "identical, slower)")
     add_faults_args(p)
     add_json_arg(p)
     add_trace_args(p)

@@ -44,7 +44,7 @@ from repro.core.schedule import DelaySchedule
 from repro.dag.graph import parallel_stage_set
 from repro.dag.job import Job
 from repro.dag.paths import execution_paths
-from repro.model.interference import EvaluationCache, evaluate_schedule, probe_schedule
+from repro.model.interference import evaluate_schedule, probe_schedule
 from repro.model.perf import standalone_stage_times
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulator.simulation import SimulationConfig
@@ -96,19 +96,18 @@ class DelayStageParams:
     #: the complete schedule visible, keeping strict improvements;
     #: roughly doubles planning cost per pass.
     refine_passes: int = 0
-    #: Memoize candidate-schedule fluid evaluations within this planning
-    #: run, keyed on (phantom set, delay table) — see
-    #: :class:`repro.model.interference.EvaluationCache`.  Exact (a hit
-    #: returns the identical evaluation); disable (``--no-memo``) only
-    #: for bisection.
-    memoize: bool = True
     #: Prune scan candidates whose admissible finish-time lower bound
     #: (``ready_lb + x + t_hat``, :func:`repro.core.bounds.ready_lower_bounds`)
-    #: already reaches the incumbent makespan.  Never changes the chosen
-    #: delays — a pruned candidate provably cannot win the smallest-delay
-    #: tiebreak.  Automatically off when the evaluation config pipelines
-    #: shuffles or caps fan-in, where stage durations can beat the
-    #: standalone time and the bound would not be admissible.
+    #: already reaches the incumbent makespan, and truncate each
+    #: candidate's evaluation at the incumbent makespan (a horizon
+    #: probe).  Never changes the chosen delays — a pruned or truncated
+    #: candidate provably cannot win the smallest-delay tiebreak.  When
+    #: the evaluation config pipelines shuffles or caps fan-in, stage
+    #: durations can beat the standalone time, so only the ready-time
+    #: term ``ready_lb`` drops out; the horizon probes and the plain
+    #: ``x + t_hat >= incumbent`` prune stay on.  ``False`` keeps only
+    #: that plain prune: the reference the equivalence tests compare
+    #: against.
     bound_prune: bool = True
 
     def __post_init__(self) -> None:
@@ -119,7 +118,7 @@ class DelayStageParams:
             raise ValueError("refine_passes must be >= 0")
 
 
-def _phantom_job(job: Job, hidden: "set[str]") -> Job:
+def _phantom_job(job: Job, hidden: "frozenset[str]") -> Job:
     """Copy of ``job`` where ``hidden`` stages consume no resources.
 
     Phantom stages complete (nearly) instantly, so DAG dependencies of
@@ -209,39 +208,22 @@ def delay_stage_schedule(
     paths = order_paths(paths, params.order, params.rng)
 
     evaluations = 0
-    cache = EvaluationCache() if params.memoize else None
 
-    def _evaluate(model: Job, hidden: "frozenset[str]", trial: dict) -> object:
-        """Fluid evaluation memoized on (phantom set, delay table)."""
+    def _evaluate(model: Job, trial: dict) -> object:
+        """Full fluid evaluation of ``trial`` on ``model``."""
         nonlocal evaluations
-        if cache is not None:
-            key = EvaluationCache.key(hidden, trial)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        ev = evaluate_schedule(
+        evaluations += 1
+        return evaluate_schedule(
             model, cluster, trial, members=members, config=eval_config,
             pair_capacities=pair_capacities,
         )
-        evaluations += 1
-        if cache is not None:
-            cache.put(key, ev)
-        return ev
 
     def _probe(
-        model: Job,
-        hidden: "frozenset[str]",
-        trial: dict,
-        horizon: float,
-        watch: "set[str]",
+        model: Job, trial: dict, horizon: float, watch: "set[str]"
     ) -> "dict[str, float]":
         """Truncated evaluation: exact finish times up to ``horizon`` or
         until all of ``watch`` finished; missing stages finish later."""
         nonlocal evaluations
-        if cache is not None:
-            hit = cache.get(EvaluationCache.key(hidden, trial))
-            if hit is not None:
-                return hit.stage_finish
         evaluations += 1
         return probe_schedule(
             model, cluster, trial, horizon=horizon, watch=watch,
@@ -259,7 +241,7 @@ def delay_stage_schedule(
     )
     pruned_by_bound_total = 0
 
-    baseline = _evaluate(job, frozenset(), {})
+    baseline = _evaluate(job, {})
 
     # Line 3: T_max from standalone path times; it also upper-bounds the
     # candidate scans before any simulation-backed value exists.
@@ -276,8 +258,7 @@ def delay_stage_schedule(
             # The model for this scan: scheduled stages + this candidate
             # are real; parallel stages of unprocessed paths are phantoms.
             visible = set(delays) | {stage_id}
-            hidden = frozenset(members) - visible
-            model = _phantom_job(job, set(hidden))
+            model = _phantom_job(job, members - visible)
 
             # Admissible earliest-ready bound for the prune below; 0 when
             # the bound is not trusted, degenerating to the plain prune.
@@ -338,7 +319,7 @@ def delay_stage_schedule(
                 # is never simulated.
                 if params.bound_prune:
                     horizon = best_obj if best_obj is not None else _math.inf
-                    finish = _probe(model, hidden, trial, horizon, visible)
+                    finish = _probe(model, trial, horizon, visible)
                     obj = max(finish.get(sid, _math.inf) for sid in visible)
                     if _math.isinf(obj):
                         horizon_rejected += 1
@@ -346,7 +327,7 @@ def delay_stage_schedule(
                             rejected.append(x_hat)
                         continue
                 else:
-                    ev = _evaluate(model, hidden, trial)
+                    ev = _evaluate(model, trial)
                     obj = max(ev.stage_finish[sid] for sid in visible)
                 if tracer.enabled:
                     scanned.append([x_hat, obj])
@@ -392,12 +373,16 @@ def delay_stage_schedule(
                     }},
                 )
 
-    final = _evaluate(job, frozenset(), delays)
+    final = _evaluate(job, delays)
 
     # Optional coordinate-descent refinement (beyond the paper's
     # pseudocode): re-scan each stage's delay against the *complete*
     # schedule — no phantoms — keeping strict improvements.  Fixes the
-    # greedy's path-local blind spots on wide DAGs.
+    # greedy's path-local blind spots on wide DAGs.  Later passes revisit
+    # earlier trials, so full-schedule evaluations are cached on the
+    # delay table (exact: the evaluation is a pure function of it here).
+    refined = {tuple(sorted(delays.items())): final}
+    cache_hits = 0
     for _ in range(params.refine_passes):
         improved = False
         incumbent = final.parallel_makespan
@@ -417,7 +402,12 @@ def delay_stage_schedule(
                         if refine_lb + x + t_hat[stage_id] < best_obj:
                             trial = dict(delays)
                             trial[stage_id] = x
-                            ev = _evaluate(job, frozenset(), trial)
+                            key = tuple(sorted(trial.items()))
+                            ev = refined.get(key)
+                            if ev is None:
+                                ev = refined[key] = _evaluate(job, trial)
+                            else:
+                                cache_hits += 1
                             if ev.parallel_makespan < best_obj - 1e-9:
                                 best_obj = ev.parallel_makespan
                                 best_x = x
@@ -436,11 +426,7 @@ def delay_stage_schedule(
                     delays[stage_id] = best_x
                     incumbent = best_obj
                     improved = True
-        final = evaluate_schedule(
-            job, cluster, delays, members=members, config=eval_config,
-            pair_capacities=pair_capacities,
-        )
-        evaluations += 1
+        final = _evaluate(job, delays)
         if not improved:
             break
 
@@ -462,8 +448,8 @@ def delay_stage_schedule(
     tracer.counters.inc(
         "alg1.stages_delayed", sum(1 for x in delays.values() if x > 0)
     )
-    if tracer.enabled and cache is not None and cache.hits:
-        tracer.counters.inc("alg1.cache_hits", cache.hits)
+    if tracer.enabled and cache_hits:
+        tracer.counters.inc("alg1.cache_hits", cache_hits)
     tracer.instant(
         "schedule",
         _time.perf_counter() - started,
@@ -474,7 +460,7 @@ def delay_stage_schedule(
               "predicted_makespan": final.parallel_makespan,
               "baseline_makespan": baseline.parallel_makespan,
               "evaluations": evaluations,
-              "cache_hits": cache.hits if cache is not None else 0,
+              "cache_hits": cache_hits,
               "pruned_by_bound": pruned_by_bound_total,
               "order": PathOrder(params.order).value},
     )

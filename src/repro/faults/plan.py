@@ -238,11 +238,17 @@ class FaultPlan:
                 events.append(event_cls(**fields))
             except TypeError as exc:
                 raise ValueError(f"event #{i} ({kind}): {exc}") from None
+        try:
+            retry_budget = int(data.get("retry_budget", 3))
+            backoff_base = float(data.get("backoff_base", 1.0))
+            backoff_cap = float(data.get("backoff_cap", 30.0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"malformed retry/backoff field: {exc}") from None
         return cls(
             events=tuple(events),
-            retry_budget=int(data.get("retry_budget", 3)),
-            backoff_base=float(data.get("backoff_base", 1.0)),
-            backoff_cap=float(data.get("backoff_cap", 30.0)),
+            retry_budget=retry_budget,
+            backoff_base=backoff_base,
+            backoff_cap=backoff_cap,
         )
 
     @classmethod

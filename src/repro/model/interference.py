@@ -46,51 +46,6 @@ class ScheduleEvaluation:
         return self.stage_times[stage_id]
 
 
-class EvaluationCache:
-    """Memo for candidate-schedule fluid evaluations.
-
-    Algorithm 1 re-evaluates the same (phantom set, delay table) pair
-    more than once — most prominently the final full-schedule
-    evaluation, which the last stage's scan already computed as its
-    winning candidate, and every trial of the refinement passes that
-    re-visits the incumbent's neighborhood.  The evaluation is a pure
-    function of the phantom set and the delay table (job, cluster, and
-    config are fixed for one planning run), so a dict keyed on
-    :meth:`key` is exact — a hit returns the *identical*
-    :class:`ScheduleEvaluation` object, not an approximation.
-
-    One cache per planning run; do not share across jobs or configs.
-    """
-
-    __slots__ = ("_store", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._store: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(
-        hidden: "Iterable[str]", delays: "Mapping[str, float]"
-    ) -> tuple:
-        """Cache key: the phantom (hidden) stage set plus the delay
-        table in canonical (sorted) order — the schedule-prefix hash."""
-        return (frozenset(hidden), tuple(sorted(delays.items())))
-
-    def get(self, key: tuple) -> "ScheduleEvaluation | None":
-        ev = self._store.get(key)
-        if ev is not None:
-            self.hits += 1
-        return ev
-
-    def put(self, key: tuple, ev: ScheduleEvaluation) -> None:
-        self.misses += 1
-        self._store[key] = ev
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-
 def evaluate_schedule(
     job: Job,
     cluster: ClusterSpec,

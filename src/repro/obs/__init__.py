@@ -91,7 +91,6 @@ from repro.obs.critical import (
     RunBlame,
     StageBlame,
     blame_diff,
-    blames_to_openmetrics_lines,
     render_blame_markdown,
     render_diff_markdown,
     run_blame,
@@ -154,7 +153,6 @@ __all__ = [
     "blame_diff",
     "render_blame_markdown",
     "render_diff_markdown",
-    "blames_to_openmetrics_lines",
     "validate_blame_payload",
     "ProgressReporter",
     "TelemetryBus",

@@ -655,22 +655,6 @@ def render_diff_markdown(diff: BlameDiff) -> str:
     return "\n".join(lines)
 
 
-def blames_to_openmetrics_lines(
-    blames: "Mapping[str, RunBlame]",
-) -> "list[str]":
-    """``repro_blame_seconds`` gauge family lines (no ``# EOF``)."""
-    name = "repro_blame_seconds"
-    lines = [
-        f"# HELP {name} Critical-path seconds attributed per blame category",
-        f"# TYPE {name} gauge",
-    ]
-    for run, blame in blames.items():
-        for c in CATEGORIES:
-            value = float(blame.categories.get(c, 0.0))
-            lines.append(f'{name}{{run="{run}",category="{c}"}} {value!r}')
-    return lines
-
-
 def validate_blame_payload(payload: "Mapping") -> "list[str]":
     """Schema check for ``repro why --json`` payloads (used by CI).
 

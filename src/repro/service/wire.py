@@ -82,7 +82,7 @@ def job_from_wire(payload: "Mapping[str, Any]") -> Job:
             ))
         except KeyError as exc:
             raise ValueError(f"stages[{i}] is missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"stages[{i}] is malformed: {exc}") from exc
     raw_edges = payload.get("edges", [])
     if not isinstance(raw_edges, (list, tuple)):

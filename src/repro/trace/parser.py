@@ -76,7 +76,7 @@ def parse_batch_task_csv(
         try:
             start_f, end_f = float(start), float(end)
             instances = int(float(instance_num)) if instance_num else 1
-        except ValueError:
+        except (ValueError, OverflowError):
             continue
         if end_f <= 0 or start_f <= 0 or end_f < start_f:
             continue  # incomplete record

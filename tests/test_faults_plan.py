@@ -133,6 +133,10 @@ def test_from_dict_rejects_garbage():
         FaultPlan.from_dict({"events": ["x"]})
     with pytest.raises(ValueError):
         FaultPlan.from_dict([])
+    # JSON's 1e999 parses to inf, which int() rejects with OverflowError.
+    for bad in (1e999, float("nan"), "x", None):
+        with pytest.raises(ValueError, match="retry/backoff"):
+            FaultPlan.from_dict({"retry_budget": bad})
 
 
 # --------------------------------------------------------------------- #

@@ -25,13 +25,16 @@ from repro.faults import generate_plan
 from repro.obs.critical import (
     CATEGORIES,
     blame_diff,
-    blames_to_openmetrics_lines,
     render_blame_markdown,
     render_diff_markdown,
     run_blame,
     validate_blame_payload,
 )
-from repro.obs.metrics import interleaving_report, reports_to_csv
+from repro.obs.metrics import (
+    interleaving_report,
+    reports_to_csv,
+    reports_to_openmetrics,
+)
 from repro.schedulers import (
     DelayStageScheduler,
     FuxiScheduler,
@@ -332,16 +335,25 @@ class TestDiffAndReportConsistency:
                     <= total_delay + 1e-9)
 
     def test_renderers_and_openmetrics_lines(self, als_runs):
-        _, _, blames = als_runs
+        job, runs, blames = als_runs
         md = render_blame_markdown(blames)
         assert "delaystage" in md and "contention" in md
         diff_md = render_diff_markdown(
             blame_diff(blames["fuxi"], blames["delaystage"]))
         assert "fuxi" in diff_md and "delaystage" in diff_md
-        lines = blames_to_openmetrics_lines(blames)
-        text = "\n".join(lines)
-        assert "repro_blame_seconds" in text
-        assert 'category="contention"' in text
+        # The repro_blame_seconds family is rendered once, by the report
+        # exposition, from reports that carry blame (built with ``job``).
+        reports = {
+            name: interleaving_report(run.result, job, label=name)
+            for name, run in runs.items()
+        }
+        lines = reports_to_openmetrics(reports).splitlines()
+        assert "# TYPE repro_blame_seconds gauge" in lines
+        for name, blame in blames.items():
+            for cat in CATEGORIES:
+                line = (f'repro_blame_seconds{{run="{name}",category="{cat}"}} '
+                        f"{float(blame.categories[cat])!r}")
+                assert line in lines
 
 
 class TestPayloadValidation:

@@ -370,10 +370,11 @@ class TestServer:
         events = [json.loads(line) for line in body.splitlines()]
         assert status == 200 and len(events) == 2
 
-    @pytest.mark.parametrize("content_length", ["-1", "abc", None])
-    def test_submit_rejects_bad_content_length(self, content_length):
-        """A negative, non-numeric, or missing Content-Length is a 400
-        JSON error and never reaches the service."""
+    @staticmethod
+    def _raw_submit(send):
+        """Issue a raw ``POST /service/submit`` (``send(conn)``) against a
+        real daemon; return the response, the core, the daemon, and a
+        follow-up ``/healthz`` status."""
         from repro.cluster.spec import uniform_cluster
         from repro.service import ServiceCore
         from repro.service.clock import VirtualClock
@@ -386,22 +387,56 @@ class TestServer:
             conn = http.client.HTTPConnection(server.host, server.port,
                                               timeout=10)
             try:
-                conn.putrequest("POST", "/service/submit")
-                if content_length is not None:
-                    conn.putheader("Content-Length", content_length)
-                conn.putheader("Content-Type", "application/json")
-                conn.endheaders()
+                send(conn)
                 response = conn.getresponse()
                 status = response.status
                 ctype = response.headers.get("Content-Type", "")
                 body = json.loads(response.read().decode("utf-8"))
             finally:
                 conn.close()
+            health, _, _ = _get(server.url + "/healthz")
+        return status, ctype, body, core, daemon, health
+
+    @pytest.mark.parametrize("content_length", ["-1", "abc", None])
+    def test_submit_rejects_bad_content_length(self, content_length):
+        """A negative, non-numeric, or missing Content-Length is a 400
+        JSON error and never reaches the service."""
+        def send(conn):
+            conn.putrequest("POST", "/service/submit")
+            if content_length is not None:
+                conn.putheader("Content-Length", content_length)
+            conn.putheader("Content-Type", "application/json")
+            conn.endheaders()
+
+        status, ctype, body, core, daemon, _ = self._raw_submit(send)
         assert status == 400
         assert ctype.startswith("application/json")
         assert "error" in body
         assert core.counters["submitted"] == 0
         assert daemon.jobs_list() == []
+
+    def test_submit_rejects_overflowing_num_tasks(self):
+        """``"num_tasks": 1e999`` parses to inf, and ``int(inf)``
+        raises OverflowError: still a 400 JSON error, nothing submitted,
+        and the handler keeps serving."""
+        from repro.service.wire import job_to_wire
+        from repro.workloads.synthetic import random_job
+
+        wire = job_to_wire(random_job(2, job_id="big", rng=0))
+        wire["stages"][0]["num_tasks"] = "NUM_TASKS"
+        payload = json.dumps(wire).replace('"NUM_TASKS"', "1e999").encode()
+
+        def send(conn):
+            conn.request("POST", "/service/submit", body=payload,
+                         headers={"Content-Type": "application/json"})
+
+        status, ctype, body, core, daemon, health = self._raw_submit(send)
+        assert status == 400
+        assert ctype.startswith("application/json")
+        assert "stages[0] is malformed" in body["error"]
+        assert core.counters["submitted"] == 0
+        assert daemon.jobs_list() == []
+        assert health == 200
 
 
 # --------------------------------------------------------------------- #

@@ -1,7 +1,7 @@
 """The perf layer is bit-exact: optimized and escape-hatch paths agree.
 
-The PR that introduced the scoped allocator, Algorithm 1 memoization /
-bound pruning, and parallel replay claims *identical* results — not
+The scoped allocator, Algorithm 1 bound pruning, and parallel replay
+claim *identical* results — not
 merely close ones.  These property tests are that claim's enforcement:
 every comparison below is ``==`` on floats, never ``pytest.approx``.
 """
@@ -99,7 +99,7 @@ def test_incremental_eventlog_seed_identical():
 
 
 # --------------------------------------------------------------------- #
-# tentpole 2: memoized + bound-pruned Algorithm 1 == plain Algorithm 1
+# tentpole 2: bound-pruned Algorithm 1 == plain Algorithm 1
 
 
 @settings(max_examples=15, deadline=None)
@@ -108,13 +108,13 @@ def test_incremental_eventlog_seed_identical():
     num_stages=st.integers(3, 8),
     parallelism=st.floats(0.3, 0.9),
 )
-def test_memoized_alg1_bit_identical(seed, num_stages, parallelism):
+def test_pruned_alg1_bit_identical(seed, num_stages, parallelism):
     job = random_job(num_stages, parallelism=parallelism, rng=seed)
     cluster = _cluster()
     fast = delay_stage_schedule(job, cluster, DelayStageParams(max_slots=8))
     plain = delay_stage_schedule(
         job, cluster,
-        DelayStageParams(max_slots=8, memoize=False, bound_prune=False),
+        DelayStageParams(max_slots=8, bound_prune=False),
     )
     # Semantic fields only: evaluations/compute_seconds are telemetry
     # and legitimately differ (that's the point of the optimization).
@@ -126,7 +126,7 @@ def test_memoized_alg1_bit_identical(seed, num_stages, parallelism):
     assert fast.evaluations <= plain.evaluations
 
 
-def test_memoized_alg1_with_refinement_identical():
+def test_pruned_alg1_with_refinement_identical():
     job = random_job(7, parallelism=0.7, rng=42)
     cluster = _cluster()
     fast = delay_stage_schedule(
@@ -134,8 +134,7 @@ def test_memoized_alg1_with_refinement_identical():
     )
     plain = delay_stage_schedule(
         job, cluster,
-        DelayStageParams(max_slots=8, refine_passes=1, memoize=False,
-                         bound_prune=False),
+        DelayStageParams(max_slots=8, refine_passes=1, bound_prune=False),
     )
     assert fast.delays == plain.delays
     assert fast.predicted_makespan == plain.predicted_makespan

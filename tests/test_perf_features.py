@@ -2,7 +2,7 @@
 
 `tests/test_perf_equivalence.py` proves the optimized paths produce
 identical results; this file tests the supporting pieces directly —
-truncated probes, the evaluation cache, the bound-prune audit fields,
+truncated probes, the refinement memo, the bound-prune audit fields,
 allocator telemetry, and the metrics fast paths.
 """
 
@@ -13,12 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.cluster.spec import uniform_cluster
 from repro.core.delaystage import DelayStageParams, delay_stage_schedule
-from repro.model.interference import (
-    EvaluationCache,
-    evaluate_schedule,
-    probe_schedule,
-)
+from repro.model.interference import evaluate_schedule, probe_schedule
 from repro.obs import Tracer, decision_audits, to_chrome_trace
 from repro.workloads.synthetic import random_job
 
@@ -52,38 +49,32 @@ def test_probe_watch_stops_early(fork_join_job, small_cluster):
 
 
 # --------------------------------------------------------------------- #
-# evaluation cache
+# refinement memo
 
 
-def test_evaluation_cache_hit_returns_identical_object(
-    fork_join_job, small_cluster
-):
-    cache = EvaluationCache()
-    delays = {"S1": 1.0, "S2": 0.0}
-    key = cache.key(["S3"], delays)
-    assert cache.get(key) is None
-    ev = evaluate_schedule(fork_join_job, small_cluster, delays)
-    cache.put(key, ev)
-    assert cache.get(key) is ev
-    assert cache.hits == 1 and cache.misses == 1 and len(cache) == 1
-
-
-def test_evaluation_cache_key_canonical():
-    a = EvaluationCache.key(["S1", "S2"], {"S3": 1.0, "S4": 2.0})
-    b = EvaluationCache.key(["S2", "S1"], {"S4": 2.0, "S3": 1.0})
-    assert a == b
-
-
-def test_memoization_saves_evaluations(fork_join_job, small_cluster):
-    fast = delay_stage_schedule(
-        fork_join_job, small_cluster, DelayStageParams(bound_prune=False)
+@pytest.mark.parametrize("passes, evaluations, cache_hits", [
+    (1, 130, 38),
+    (2, 131, 149),
+])
+def test_refinement_memo_pins_evaluation_cost(passes, evaluations, cache_hits):
+    """Refinement passes revisit earlier trials; the per-plan memo keeps
+    the evaluation count and hit count fixed for a fixed job."""
+    job = random_job(10, parallelism=0.7, rng=3)
+    cluster = uniform_cluster(3, executors_per_worker=2, nic_mbps=450,
+                              disk_mb_per_sec=150, storage_nodes=0)
+    tracer = Tracer()
+    schedule = delay_stage_schedule(
+        job, cluster, DelayStageParams(max_slots=8, refine_passes=passes),
+        tracer=tracer,
     )
-    plain = delay_stage_schedule(
-        fork_join_job, small_cluster,
-        DelayStageParams(memoize=False, bound_prune=False),
-    )
-    assert fast.evaluations < plain.evaluations
-    assert fast.delays == plain.delays
+    assert schedule.evaluations == evaluations
+    assert tracer.counters.get("alg1.cache_hits", 0) == cache_hits
+    (instant,) = [
+        ev for ev in to_chrome_trace(tracer)["traceEvents"]
+        if ev.get("ph") == "i" and ev.get("name") == "schedule"
+    ]
+    assert instant["args"]["cache_hits"] == cache_hits
+    assert instant["args"]["evaluations"] == evaluations
 
 
 # --------------------------------------------------------------------- #
@@ -145,7 +136,6 @@ def test_incremental_runs_use_scoped_allocations(small_cluster):
 
 
 def test_replay_jcts_empty_batch():
-    from repro.cluster.spec import uniform_cluster
     from repro.schedulers.fuxi import FuxiScheduler
     from repro.simulator.parallel import replay_jcts
 

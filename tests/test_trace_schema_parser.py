@@ -86,6 +86,14 @@ def test_parser_skips_bad_timestamps():
     assert [j.job_id for j in jobs] == ["k"]
 
 
+def test_parser_skips_unrepresentable_instance_counts():
+    bad = "".join(f"M1,{n},j{i},A,Terminated,5,9,0,0\n"
+                  for i, n in enumerate(("inf", "1e999", "-inf", "nan", "x")))
+    csv = bad + "M1,3,k,A,Terminated,5,9,0,0\n"
+    jobs = parse_batch_task_csv(io.StringIO(csv))
+    assert [j.job_id for j in jobs] == ["k"]
+
+
 def test_parser_drops_duplicate_task_numbers():
     csv = "M1,1,j,A,Terminated,1,2,0,0\nR1,1,j,A,Terminated,2,3,0,0\n"
     assert parse_batch_task_csv(io.StringIO(csv)) == []
