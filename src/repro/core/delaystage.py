@@ -44,10 +44,10 @@ from repro.core.schedule import DelaySchedule
 from repro.dag.graph import parallel_stage_set
 from repro.dag.job import Job
 from repro.dag.paths import execution_paths
-from repro.model.interference import evaluate_schedule, probe_schedule
+from repro.model.interference import evaluate_schedule, probe_schedule, probe_spine
 from repro.model.perf import standalone_stage_times
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.simulator.simulation import SimulationConfig
+from repro.simulator.simulation import Simulation, SimulationConfig
 from repro.util.validation import check_positive
 
 #: Track the decision audit lands on in trace exports.
@@ -219,16 +219,13 @@ def delay_stage_schedule(
         )
 
     def _probe(
-        model: Job, trial: dict, horizon: float, watch: "set[str]"
+        spine: Simulation, x: float, horizon: float, watch: "set[str]"
     ) -> "dict[str, float]":
-        """Truncated evaluation: exact finish times up to ``horizon`` or
-        until all of ``watch`` finished; missing stages finish later."""
+        """Truncated evaluation forked off the scan's spine: exact finish
+        times up to ``horizon`` or until all of ``watch`` finished."""
         nonlocal evaluations
         evaluations += 1
-        return probe_schedule(
-            model, cluster, trial, horizon=horizon, watch=watch,
-            config=eval_config, pair_capacities=pair_capacities,
-        )
+        return probe_schedule(spine, x, horizon=horizon, watch=watch)
 
     # The admissible prune assumes stage durations never beat their
     # standalone times; pipelined shuffle (prefetch overlaps the read
@@ -280,6 +277,14 @@ def delay_stage_schedule(
                 candidates.append(min(x, upper))
                 x += slot
 
+            # Every candidate shares the trajectory until ``stage_id`` is
+            # submitted: one spine per scan simulates it once.
+            if params.bound_prune:
+                spine = probe_spine(
+                    model, cluster, delays, stage_id, config=eval_config,
+                    pair_capacities=pair_capacities,
+                )
+
             scan_t0 = _time.perf_counter() - started
             scanned: "list[list[float]]" = []
             rejected: "list[float]" = []
@@ -307,8 +312,6 @@ def delay_stage_schedule(
                         if x + t_hat[stage_id] < best_obj
                     )
                     break
-                trial = dict(delays)
-                trial[stage_id] = x_hat
                 # Lines 12-15: re-evaluate stage/path times under the
                 # candidate schedule (shares, interference, completion
                 # updates all happen inside the fluid evaluation).  With
@@ -319,7 +322,7 @@ def delay_stage_schedule(
                 # is never simulated.
                 if params.bound_prune:
                     horizon = best_obj if best_obj is not None else _math.inf
-                    finish = _probe(model, trial, horizon, visible)
+                    finish = _probe(spine, x_hat, horizon, visible)
                     obj = max(finish.get(sid, _math.inf) for sid in visible)
                     if _math.isinf(obj):
                         horizon_rejected += 1
@@ -327,7 +330,7 @@ def delay_stage_schedule(
                             rejected.append(x_hat)
                         continue
                 else:
-                    ev = _evaluate(model, trial)
+                    ev = _evaluate(model, {**delays, stage_id: x_hat})
                     obj = max(ev.stage_finish[sid] for sid in visible)
                 if tracer.enabled:
                     scanned.append([x_hat, obj])

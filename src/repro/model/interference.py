@@ -101,36 +101,69 @@ def evaluate_schedule(
     )
 
 
-def probe_schedule(
+def probe_spine(
     job: Job,
     cluster: ClusterSpec,
     delays: "Mapping[str, float]",
+    stage_id: str,
+    *,
+    config: "SimulationConfig | None" = None,
+    pair_capacities: "dict[tuple[str, str], float] | None" = None,
+) -> Simulation:
+    """The shared prefix of one scan over ``stage_id``'s delay: every
+    candidate runs ``job`` under the same fixed ``delays``, so their
+    trajectories agree until ``stage_id`` is submitted.  The spine is
+    that run with ``stage_id`` held back, starting at t=0."""
+    cfg = config or SimulationConfig(track_metrics=False, track_events=False)
+    sim = Simulation(cluster, cfg, pair_capacities=pair_capacities)
+    sim.add_job(job, FixedDelayPolicy(dict(delays)))
+    sim.hold(job.job_id, stage_id)
+    return sim
+
+
+def probe_schedule(
+    spine: Simulation,
+    delay: float,
     *,
     horizon: float = math.inf,
     watch: "Iterable[str] | None" = None,
-    config: "SimulationConfig | None" = None,
-    pair_capacities: "dict[tuple[str, str], float] | None" = None,
 ) -> dict[str, float]:
     """Truncated candidate evaluation: finish times up to a stop point.
 
-    Runs the same fluid model as :func:`evaluate_schedule` but stops the
-    clock at ``horizon`` or as soon as every stage in ``watch`` has
-    finished, returning finish times only for stages that completed by
-    then — exact values, since the trajectory up to the stop point is
+    Predicts the spine's job with its held stage delayed by ``delay``,
+    as :func:`evaluate_schedule` would, but stops the clock at
+    ``horizon`` or as soon as every stage in ``watch`` has finished,
+    and returns finish times only for stages that completed by then —
+    exact values, since the trajectory up to the stop point is
     identical to the full run's prefix.  A stage missing from the
-    returned map finishes *strictly after* the horizon.
+    returned map finishes after the stop instant: after the horizon,
+    or after the last watched stage when the watch set stopped the run
+    early.
+
+    The spine advances to the last point it shares with the candidate,
+    which then runs on a fork (checkpoint, release the held stage, run,
+    rollback): the common prefix is simulated once per scan.  Probes
+    come in scan order (delays ascending, no horizon before an earlier
+    submit instant); ``watch`` must include the held stage.
 
     Algorithm 1 uses this with ``watch = the visible stages`` and
     ``horizon = incumbent makespan``: if any watched stage is missing,
     the candidate provably cannot beat the incumbent; either way the
     (often long) model tail is never simulated.
     """
-    cfg = config or SimulationConfig(track_metrics=False, track_events=False)
-    sim = Simulation(cluster, cfg, pair_capacities=pair_capacities)
-    sim.add_job(job, FixedDelayPolicy(dict(delays)))
-    records = sim.run_truncated(horizon, watch=set(watch) if watch else None)
-    return {
-        sid: rec.finish_time
-        for (_jid, sid), rec in records.items()
-        if not math.isnan(rec.finish_time)
-    }
+    if watch is not None:
+        watch = set(watch)
+        if spine.held_key[1] not in watch:
+            raise ValueError("watch must include the held stage")
+    spine.advance_held(delay, horizon)
+    spine.checkpoint()
+    try:
+        spine.release_held()
+        records = spine.run_truncated(horizon, watch=watch)
+        return {
+            sid: rec.finish_time
+            for (_jid, sid), rec in records.items()
+            if not math.isnan(rec.finish_time)
+        }
+    finally:
+        spine.rollback()

@@ -15,7 +15,6 @@ sharing) live in :mod:`repro.simulator.fairshare` and are wired up by
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from typing import Callable, Iterable
 
@@ -30,6 +29,11 @@ class WorkItem:
     """
 
     __slots__ = ("remaining", "rate", "on_complete", "_pos")
+
+    #: Attributes a run mutates, saved and restored by
+    #: :meth:`FluidEngine.checkpoint` / :meth:`FluidEngine.rollback`
+    #: (subclasses append the ones their allocator sets).
+    _STATE: "tuple[str, ...]" = ("remaining", "rate")
 
     def __init__(self, volume: float, on_complete: "Callable[[float], None] | None" = None):
         # Single chained comparison: False for negatives, NaN, and +inf.
@@ -114,7 +118,13 @@ class FluidEngine:
         self.now = 0.0
         self._items: list[WorkItem] = []
         self._timers: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = itertools.count()
+        self._seq = 0  # timer tiebreak: equal times fire in schedule order
+        #: Pause key ``(time, seq)``: :meth:`run` returns at the last point
+        #: shared with runs holding a timer with this key — before the
+        #: clock passes ``time``, or between two timer pops of its instant.
+        self.pause_key: "tuple[float, float] | None" = None
+        self._mid_instant = False  # paused between two timer pops
+        self._saved: "tuple | None" = None
         self._dirty = True  # active set changed; rates must be recomputed
         self._full_dirty = True  # external mutation; incremental unsafe
         self._stop_requested = False
@@ -151,11 +161,23 @@ class FluidEngine:
         for item in items:
             self.add_item(item)
 
-    def schedule(self, time: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at absolute simulation time ``time``."""
+    def schedule(
+        self, time: float, callback: Callable[[], None], seq: "int | None" = None
+    ) -> None:
+        """Run ``callback`` at absolute simulation time ``time``; timers
+        due at one instant fire in ``seq`` order (default: the next one;
+        a deferred timer passes its :meth:`reserve_seq` result)."""
         if time < self.now - 1e-12:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
-        heapq.heappush(self._timers, (max(time, self.now), next(self._seq), callback))
+        if seq is None:
+            seq = self.reserve_seq()
+        heapq.heappush(self._timers, (max(time, self.now), seq, callback))
+
+    def reserve_seq(self) -> int:
+        """Take the next timer sequence number without scheduling."""
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
 
     def request_stop(self) -> None:
         """Stop :meth:`run` before its next loop iteration.
@@ -197,6 +219,33 @@ class FluidEngine:
         # next reallocation must be a full one.
         self._full_dirty = True
 
+    def checkpoint(self) -> None:
+        """Save the loop state for :meth:`rollback`, which restores it
+        onto the *same* item objects (completion callbacks stay valid)."""
+        self._saved = (
+            [(it, [getattr(it, a) for a in it._STATE]) for it in self._items],
+            self.now, self._timers.copy(), self._added.copy(),
+            self._removed.copy(), self._seq, self.pause_key, self._mid_instant,
+            self._dirty, self._full_dirty, self._stop_requested,
+            self.events_processed, self.max_active_items,
+            self.full_allocations, self.incremental_allocations,
+        )
+
+    def rollback(self) -> None:
+        """Restore (and use up) the last :meth:`checkpoint`."""
+        if self._saved is None:
+            raise RuntimeError("rollback without a checkpoint")
+        (items, self.now, self._timers, self._added, self._removed, self._seq,
+         self.pause_key, self._mid_instant, self._dirty, self._full_dirty,
+         self._stop_requested, self.events_processed, self.max_active_items,
+         self.full_allocations, self.incremental_allocations) = self._saved
+        self._saved = None
+        for pos, (item, values) in enumerate(items):
+            for name, value in zip(item._STATE, values):
+                setattr(item, name, value)
+            item._pos = pos
+        self._items[:] = [item for item, _ in items]
+
     @property
     def active_items(self) -> list[WorkItem]:
         return list(self._items)
@@ -206,9 +255,11 @@ class FluidEngine:
         return not self._items and not self._timers
 
     def run(self, until: "float | None" = None) -> float:
-        """Advance until no work and no timers remain (or ``until``).
+        """Advance until no work and no timers remain (or ``until``, or
+        :attr:`pause_key`).
 
-        Returns the final simulation time.
+        A run that paused between two timer pops first finishes that
+        instant.  Returns the final simulation time.
         """
         events = 0
         # Localize loop-invariant objects: ``_items`` and ``_timers`` are
@@ -216,12 +267,12 @@ class FluidEngine:
         # the local aliases stay valid across iterations.
         items = self._items
         timers = self._timers
-        eps = self.EPS
         inf = math.inf
-        heappop = heapq.heappop
         progress = self._progress
         progress_every = self._progress_every
         try:
+            if self._mid_instant and self._settle():
+                return self.now
             while (items or timers) and not self._stop_requested:
                 events += 1
                 self.events_processed += 1
@@ -250,6 +301,14 @@ class FluidEngine:
                 t_timer = timers[0][0] if timers else inf
                 t_next = t_complete if t_complete <= t_timer else t_timer
 
+                pause = self.pause_key
+                if pause is not None and pause[0] < t_next:
+                    # The paused-for timer would fire first: stop before
+                    # the clock moves; the next run() redoes this
+                    # iteration, so it is not counted.
+                    events -= 1
+                    self.events_processed -= 1
+                    return self.now
                 if t_next == inf:
                     raise EngineStalledError(
                         f"{len(items)} active items but all rates are zero "
@@ -263,43 +322,8 @@ class FluidEngine:
                     return self.now
 
                 self._advance_to(t_next)
-
-                # Fire due timers (they may add items / schedule more timers).
-                # A timer firing does not by itself invalidate rates: every
-                # state change a callback makes goes through add_item() /
-                # mark_dirty() / item completion, each of which sets the
-                # dirty flag, so a pure bookkeeping timer costs no re-solve.
-                fired = False
-                t_due = self.now + 1e-12
-                while timers and timers[0][0] <= t_due:
-                    _, _, callback = heappop(timers)
-                    callback()
-                    fired = True
-                if fired and _sanitizer.ENABLED:
-                    # Timer callbacks that corrupt item state used to be
-                    # caught by the (now elided) unconditional re-solve;
-                    # keep catching them without paying for one.
-                    _sanitizer.check_rates_valid(items)
-
-                # Collect completions (swap-remove keeps this O(completed)
-                # instead of rebuilding the whole active list every event).
-                # Threshold is EPS * max(1.0, rate), spelled branchy to avoid
-                # a builtin call per item on the hottest loop in the tree.
-                completed = [
-                    it
-                    for it in items
-                    if it.remaining <= (eps * it.rate if it.rate > 1.0 else eps)
-                ]
-                if completed:
-                    for item in completed:
-                        self._remove_item(item)
-                    if self._allocate_incremental is not None:
-                        self._removed.extend(completed)
-                    self._dirty = True
-                    for item in completed:
-                        item.remaining = 0.0
-                        if item.on_complete is not None:
-                            item.on_complete(self.now)
+                if self._settle():
+                    return self.now
             return self.now
         finally:
             FluidEngine.TOTAL_EVENTS += events
@@ -307,6 +331,59 @@ class FluidEngine:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
+
+    def _settle(self) -> bool:
+        """Fire the timers due at the current instant, then collect its
+        completions.  Returns ``True``, with the instant unfinished, when
+        :attr:`pause_key` comes due before the next timer pop."""
+        timers = self._timers
+        t_due = self.now + 1e-12
+        # Fire due timers (they may add items / schedule more timers).
+        # A timer firing does not by itself invalidate rates: every
+        # state change a callback makes goes through add_item() /
+        # mark_dirty() / item completion, each of which sets the
+        # dirty flag, so a pure bookkeeping timer costs no re-solve.
+        fired = False
+        while True:
+            head = timers[0] if timers and timers[0][0] <= t_due else None
+            pause = self.pause_key  # re-read: a callback may set it
+            if pause is not None and pause[0] <= t_due and (
+                    head is None or pause < head[:2]):
+                self._mid_instant = True
+                return True
+            if head is None:
+                break
+            heapq.heappop(timers)[2]()
+            fired = True
+        self._mid_instant = False
+        items = self._items
+        if fired and _sanitizer.ENABLED:
+            # Timer callbacks that corrupt item state used to be
+            # caught by the (now elided) unconditional re-solve;
+            # keep catching them without paying for one.
+            _sanitizer.check_rates_valid(items)
+
+        # Collect completions (swap-remove keeps this O(completed)
+        # instead of rebuilding the whole active list every event).
+        # Threshold is EPS * max(1.0, rate), spelled branchy to avoid
+        # a builtin call per item on the hottest loop in the tree.
+        eps = self.EPS
+        completed = [
+            it
+            for it in items
+            if it.remaining <= (eps * it.rate if it.rate > 1.0 else eps)
+        ]
+        if completed:
+            for item in completed:
+                self._remove_item(item)
+            if self._allocate_incremental is not None:
+                self._removed.extend(completed)
+            self._dirty = True
+            for item in completed:
+                item.remaining = 0.0
+                if item.on_complete is not None:
+                    item.on_complete(self.now)
+        return False
 
     def _remove_item(self, item: WorkItem) -> None:
         """Swap-remove ``item`` from the active list in O(1)."""

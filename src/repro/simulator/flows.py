@@ -49,6 +49,7 @@ class NetworkFlow(WorkItem):
 
     __slots__ = ("src", "dst", "stage_key", "rate_cap", "pipelined", "producer_key",
                  "part", "src_slot")
+    _STATE = WorkItem._STATE + ("rate_cap",)
 
     def __init__(
         self,
@@ -88,6 +89,7 @@ class ComputeDemand(WorkItem):
     """
 
     __slots__ = ("node", "stage_key", "process_rate", "executor_share", "part")
+    _STATE = WorkItem._STATE + ("executor_share",)
 
     def __init__(
         self,

@@ -329,7 +329,6 @@ class _StageRun:
         #: releases exactly these instead of every child).
         self.regated: "list[str] | None" = None
 
-
 class Simulation:
     """Run jobs on a cluster under per-job submission policies."""
 
@@ -402,6 +401,13 @@ class Simulation:
         # outside run_truncated().
         self._watch_remaining: "set[str] | None" = None
         self._started = False
+        # Probe spine state (see hold() and advance_held()).
+        self._held_key: "tuple[str, str] | None" = None
+        self._held_delay = 0.0
+        self._held_seq: "int | None" = None
+        self._released = False
+        self._position: "tuple[float, float]" = (-math.inf, -math.inf)
+        self._saved: "tuple | None" = None
         #: Fault injector; None (no overhead, byte-identical event logs)
         #: unless the config carries a non-empty fault plan.  Imported
         #: lazily so the simulator has no hard dependency on the fault
@@ -539,7 +545,7 @@ class Simulation:
         what :meth:`run` would produce — the engine merely stops
         advancing — so every stage that finished by then carries its
         exact finish time; unfinished stages keep ``NaN`` fields,
-        meaning "finishes strictly after the horizon".  This is the fast
+        meaning "finishes after the stop instant".  This is the fast
         path of Algorithm 1's scan: a candidate whose watched stages
         have not all finished by the incumbent makespan cannot win, and
         once they *have* all finished the (often long) model tail has no
@@ -547,7 +553,9 @@ class Simulation:
         simulated.  ``horizon`` may be ``inf`` to stop on ``watch``
         alone.  No :class:`SimulationResult` is assembled and no
         result-level sanitizer checks run, since the record set is
-        intentionally incomplete.
+        intentionally incomplete.  On a started simulation (a probe
+        fork) the run continues from where it stands; watched stages
+        that already finished count as seen.
         """
         if horizon < 0 or math.isnan(horizon):
             raise ValueError(f"horizon must be >= 0, got {horizon!r}")
@@ -555,11 +563,118 @@ class Simulation:
             # A truncated fault run would leave requeues/backoffs dangling
             # and its prefix property does not survive mid-flight retries.
             raise RuntimeError("run_truncated is unsupported with a fault plan")
-        self._watch_remaining = set(watch) if watch is not None else None
-        self._start()
+        if not self._started:
+            self._start()
+        if watch is not None:
+            finished = {
+                sid for (_jid, sid), run in self._runs.items()
+                if not math.isnan(run.record.finish_time)
+            }
+            self._watch_remaining = set(watch) - finished
         self.engine.run(until=None if math.isinf(horizon) else horizon)
         self._watch_remaining = None
         return {k: r.record for k, r in self._runs.items()}
+
+    # ------------------------------------------------------------------ #
+    # probe spines: a held stage, checkpoint and rollback
+    # ------------------------------------------------------------------ #
+
+    def hold(self, job_id: str, stage_id: str) -> None:
+        """Hold one stage back (a *probe spine*): on becoming ready it
+        reserves its submission's timer sequence number, but only
+        :meth:`release_held` submits it.  Until then the run is the
+        trajectory every delay choice for the stage shares."""
+        if self._started:
+            raise RuntimeError("hold must be called before run()")
+        self._held_key = (job_id, stage_id)
+
+    @property
+    def held_key(self) -> "tuple[str, str] | None":
+        """``(job_id, stage_id)`` of the held stage, if any."""
+        return self._held_key
+
+    def advance_held(self, delay: float, horizon: float = math.inf) -> None:
+        """Advance to the last point shared with every run that submits
+        the held stage ``delay`` after it becomes ready and stops at
+        ``horizon``: just before that submit timer fires or the clock
+        passes ``horizon``.  A point already passed raises ``ValueError``.
+        """
+        if self._held_key is None:
+            raise RuntimeError("no held stage")
+        if not delay >= 0.0:
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
+        if not self._started:
+            self._start()
+        key: "tuple[float, float]" = (horizon, math.inf)
+        if self._held_seq is not None:
+            ready = self._runs[self._held_key].record.ready_time
+            key = min(key, (ready + delay, self._held_seq))
+        if key < self._position:
+            raise ValueError("the spine already ran past this probe's prefix")
+        self._held_delay = delay
+        self.engine.pause_key = key
+        self.engine.run()
+        self._position = self.engine.pause_key
+
+    def release_held(self) -> None:
+        """Submit the held stage after the delay of the last
+        :meth:`advance_held`, as if it had never been held: a stage
+        already ready gets its timer under the sequence number it
+        reserved, so the run continues bit-identically."""
+        run = self._runs[self._held_key]
+        self._released = True
+        self.engine.pause_key = None
+        if self._held_seq is not None:
+            self.engine.schedule(
+                run.record.ready_time + self._held_delay,
+                lambda: self._submit_stage(run),
+                seq=self._held_seq,
+            )
+
+    def checkpoint(self) -> None:
+        """Save a started run's state for :meth:`rollback`, which restores
+        it onto the same objects, so every completion closure stays
+        valid.  Only unfinished stages' books are saved: a finished
+        stage's books never change again."""
+        if self._faults is not None or self._injections or self.metrics is not None:
+            raise RuntimeError("checkpoint is unsupported with a fault plan, "
+                               "degradation injections or metric tracking")
+        if not self._started:
+            raise RuntimeError("checkpoint needs a started run")
+        self.engine.checkpoint()
+        self._saved = (
+            [(run, vars(run.record).copy(), run.remaining_parents, run.submitted,
+              run.compute_volume, run.pending_reads.copy(),
+              run.prefetch_assigned.copy(), run.parts_read_done.copy(),
+              run.parts_compute_done.copy(), run.parts_write_done.copy(),
+              run.compute_active.copy())
+             for run in self._runs.values()
+             if math.isnan(run.record.finish_time)],
+            [(rec, rec.finish_time) for rec in self._job_records.values()],
+            self._remaining_stages.copy(), self._prefetch_outstanding.copy(),
+            self._free_slots.copy(), self._running.copy(),
+            self._pending_tasks.copy(),
+            {w: {k: list(v) for k, v in q.items()}
+             for w, q in self._task_queues.items()},
+            None if self._watch_remaining is None else set(self._watch_remaining),
+            len(self.events), self._held_seq, self._released,
+        )
+
+    def rollback(self) -> None:
+        """Restore (and use up) the last :meth:`checkpoint`."""
+        self.engine.rollback()  # raises without a checkpoint
+        (runs, jobs, self._remaining_stages, self._prefetch_outstanding,
+         self._free_slots, self._running, self._pending_tasks,
+         self._task_queues, self._watch_remaining, n_events, self._held_seq,
+         self._released) = self._saved
+        for (run, record, run.remaining_parents, run.submitted,
+             run.compute_volume, run.pending_reads, run.prefetch_assigned,
+             run.parts_read_done, run.parts_compute_done, run.parts_write_done,
+             run.compute_active) in runs:
+            vars(run.record).update(record)
+        for rec, finish in jobs:
+            rec.finish_time = finish
+        del self.events[n_events:]
 
     # ------------------------------------------------------------------ #
     # lifecycle transitions
@@ -584,6 +699,16 @@ class Simulation:
             raise ValueError(
                 f"policy returned invalid delay {delay!r} for stage {run.key[1]!r}"
             )
+        if run.key == self._held_key:
+            delay = self._held_delay
+            if not self._released:
+                # Reserve the submission's timer slot and pause the
+                # spine where that timer would fire.
+                seq = self._held_seq = self.engine.reserve_seq()
+                pause = self.engine.pause_key
+                if pause is not None and (now + delay, seq) < pause:
+                    self.engine.pause_key = (now + delay, seq)
+                return
         self.engine.schedule(now + delay, lambda: self._submit_stage(run))
 
     def _read_sources(self, run: _StageRun) -> list[str]:

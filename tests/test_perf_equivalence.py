@@ -1,7 +1,7 @@
 """The perf layer is bit-exact: optimized and escape-hatch paths agree.
 
-The scoped allocator, Algorithm 1 bound pruning, and parallel replay
-claim *identical* results — not
+The scoped allocator, Algorithm 1 bound pruning, prefix-shared probes
+and parallel replay claim *identical* results — not
 merely close ones.  These property tests are that claim's enforcement:
 every comparison below is ``==`` on floats, never ``pytest.approx``.
 """
@@ -11,12 +11,18 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.spec import uniform_cluster
+from repro.core import delaystage as core
 from repro.core.delaystage import DelayStageParams, delay_stage_schedule
+from repro.dag import JobBuilder
+from repro.model.interference import evaluate_schedule, probe_schedule, probe_spine
 from repro.simulator.simulation import (
+    FixedDelayPolicy,
     ImmediatePolicy,
     Simulation,
     SimulationConfig,
@@ -138,6 +144,148 @@ def test_pruned_alg1_with_refinement_identical():
     )
     assert fast.delays == plain.delays
     assert fast.predicted_makespan == plain.predicted_makespan
+
+
+# --------------------------------------------------------------------- #
+# prefix-shared probes: a fork of the scan's spine == a fresh probe run
+
+
+def _fresh_probe(job, config, delays, stage_id, x, horizon, watch):
+    """What a probe returned before spines: a fresh truncated run."""
+    sim = Simulation(_cluster(), config)
+    sim.add_job(job, FixedDelayPolicy({**delays, stage_id: x}))
+    records = sim.run_truncated(horizon, watch=set(watch) if watch else None)
+    return {sid: rec.finish_time for (_jid, sid), rec in records.items()
+            if not math.isnan(rec.finish_time)}
+
+
+_PROBE_CONFIGS = [
+    SimulationConfig(track_metrics=False, track_events=False, **kw)
+    for kw in (
+        {},
+        {"contention_penalty": 0.5},
+        {"incremental": False},
+        {"incremental": False, "contention_penalty": 0.5},
+        {"pipelined_shuffle": True},
+        {"fanin": 1},
+        {"task_granular": True},
+    )
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_stages=st.integers(2, 9),
+    parallelism=st.floats(0.3, 0.9),
+    config=st.sampled_from(_PROBE_CONFIGS),
+)
+def test_forked_probes_match_fresh_runs(seed, num_stages, parallelism, config):
+    """Every probe of every Algorithm 1 scan returns exactly the map a
+    fresh run of the same model, trial, horizon and watch set gives."""
+    job = random_job(num_stages, parallelism=parallelism, rng=seed)
+    scans: dict = {}
+    probes = []
+
+    def spine(model, cluster, delays, stage_id, **kwargs):
+        sim = probe_spine(model, cluster, delays, stage_id, **kwargs)
+        scans[sim] = (model, kwargs["config"], dict(delays), stage_id)
+        return sim
+
+    def probe(sim, x, *, horizon, watch):
+        got = probe_schedule(sim, x, horizon=horizon, watch=watch)
+        assert got == _fresh_probe(*scans[sim], x, horizon, watch)
+        probes.append(x)
+        return got
+
+    with mock.patch.object(core, "probe_spine", spine), \
+            mock.patch.object(core, "probe_schedule", probe):
+        delay_stage_schedule(
+            job, _cluster(), DelayStageParams(max_slots=6, sim_config=config)
+        )
+    assert len(probes) >= len(scans)
+
+
+def _diamond():
+    return (
+        JobBuilder("diamond")
+        .stage("S1", input_mb=256, output_mb=256, process_rate_mb=20)
+        .stage("S2", input_mb=256, output_mb=128, process_rate_mb=20, parents=["S1"])
+        .stage("S3", input_mb=384, output_mb=128, process_rate_mb=20, parents=["S1"])
+        .stage("S4", input_mb=256, output_mb=64, process_rate_mb=20, parents=["S2", "S3"])
+        .build()
+    )
+
+
+_QUIET = SimulationConfig(track_metrics=False, track_events=False)
+
+
+def _check_probes(job, stage_id, probes, config=_QUIET):
+    """Probe ``(x, horizon)`` pairs in order on one spine; each must
+    match a fresh run."""
+    spine = probe_spine(job, _cluster(), {}, stage_id, config=config)
+    for x, horizon in probes:
+        watch = set(job.stage_ids)
+        got = probe_schedule(spine, x, horizon=horizon, watch=watch)
+        assert got == _fresh_probe(job, config, {}, stage_id, x, horizon, watch)
+
+
+@pytest.mark.parametrize("config", [
+    _QUIET, dataclasses.replace(_QUIET, task_granular=True),
+], ids=["fluid", "task-granular"])
+def test_fork_at_zero_delay_for_root_stage(config):
+    """A root becomes ready inside the job-start timer: the spine pauses
+    between that instant's timer pops, after the earlier roots' submits.
+    The held root keeps its place among them: with discrete tasks, equal
+    stages tie on executor slots in submission order."""
+    builder = JobBuilder("roots")
+    for sid in "ABC":
+        builder.stage(sid, input_mb=256, output_mb=64, process_rate_mb=20,
+                      num_tasks=9, task_cv=0.5)
+    job = builder.stage("D", input_mb=128, output_mb=32, process_rate_mb=20,
+                        parents=["A", "B", "C"]).build()
+    spine = probe_spine(job, _cluster(), {}, "B", config=config)
+    spine.advance_held(0.0)
+    assert spine.engine.now == 0.0 and spine.engine._mid_instant
+    _check_probes(job, "B", [(0.0, math.inf), (2.5, math.inf)], config)
+
+
+def test_fork_at_zero_delay_behind_zero_volume_phantom():
+    """A phantom parent finishes inside its own submit timer, so its
+    child becomes ready — and is probed at x=0 — mid-instant."""
+    job = (
+        JobBuilder("phantom")
+        .stage("P", input_mb=0, output_mb=0, process_rate_mb=1)
+        .stage("Q", input_mb=256, output_mb=64, process_rate_mb=20)
+        .stage("K", input_mb=256, output_mb=64, process_rate_mb=20, parents=["P"])
+        .build()
+    )
+    spine = probe_spine(job, _cluster(), {}, "K", config=_QUIET)
+    spine.advance_held(0.0)
+    assert spine.engine._mid_instant
+    _check_probes(job, "K", [(0.0, math.inf), (1.0, math.inf)])
+
+
+def test_fork_at_submit_instant_of_a_completion():
+    """The candidate's submit instant equals another stage's finish."""
+    job = _diamond()
+    held = evaluate_schedule(job, _cluster(), {"S3": 1e6}, config=_QUIET)
+    ready = held.stage_finish["S1"]
+    finish = held.stage_finish["S2"]
+    x = finish - ready
+    while ready + x != finish:
+        x = math.nextafter(x, math.inf if ready + x < finish else -math.inf)
+    _check_probes(job, "S3", [(0.0, math.inf), (x, math.inf)])
+
+
+def test_fork_with_horizon_before_submit_instant():
+    """A candidate submitted past its horizon cannot finish in time; the
+    probe still reports exactly what a fresh run does by the horizon."""
+    job = _diamond()
+    ready = evaluate_schedule(job, _cluster(), {}, config=_QUIET).stage_finish["S1"]
+    horizon = ready + 2.0
+    _check_probes(job, "S3", [(0.0, math.inf), (1.0, horizon), (5.0, horizon),
+                              (9.0, horizon)])
 
 
 # --------------------------------------------------------------------- #

@@ -15,8 +15,9 @@ import pytest
 
 from repro.cluster.spec import uniform_cluster
 from repro.core.delaystage import DelayStageParams, delay_stage_schedule
-from repro.model.interference import evaluate_schedule, probe_schedule
+from repro.model.interference import evaluate_schedule, probe_schedule, probe_spine
 from repro.obs import Tracer, decision_audits, to_chrome_trace
+from repro.simulator.simulation import ImmediatePolicy, Simulation, SimulationConfig
 from repro.workloads.synthetic import random_job
 
 
@@ -25,9 +26,8 @@ from repro.workloads.synthetic import random_job
 
 
 def test_probe_matches_full_evaluation(fork_join_job, small_cluster):
-    delays = {"S2": 5.0}
-    full = evaluate_schedule(fork_join_job, small_cluster, delays)
-    probed = probe_schedule(fork_join_job, small_cluster, delays)
+    full = evaluate_schedule(fork_join_job, small_cluster, {"B": 5.0})
+    probed = probe_schedule(probe_spine(fork_join_job, small_cluster, {}, "B"), 5.0)
     assert probed == full.stage_finish
 
 
@@ -35,7 +35,8 @@ def test_probe_horizon_truncates_exactly(fork_join_job, small_cluster):
     full = evaluate_schedule(fork_join_job, small_cluster, {})
     finishes = sorted(full.stage_finish.values())
     horizon = (finishes[0] + finishes[-1]) / 2
-    probed = probe_schedule(fork_join_job, small_cluster, {}, horizon=horizon)
+    spine = probe_spine(fork_join_job, small_cluster, {}, "A")
+    probed = probe_schedule(spine, 0.0, horizon=horizon)
     expected = {s: t for s, t in full.stage_finish.items() if t <= horizon}
     assert probed == expected
     assert len(probed) < len(full.stage_finish)
@@ -44,8 +45,85 @@ def test_probe_horizon_truncates_exactly(fork_join_job, small_cluster):
 def test_probe_watch_stops_early(fork_join_job, small_cluster):
     full = evaluate_schedule(fork_join_job, small_cluster, {})
     first = min(full.stage_finish, key=full.stage_finish.get)
-    probed = probe_schedule(fork_join_job, small_cluster, {}, watch=[first])
+    spine = probe_spine(fork_join_job, small_cluster, {}, first)
+    probed = probe_schedule(spine, 0.0, watch=[first])
     assert probed[first] == full.stage_finish[first]
+    assert len(probed) < len(full.stage_finish)
+
+
+def test_spine_probes_share_one_prefix(fork_join_job, small_cluster):
+    """Forks leave the spine where they found it: probing the same
+    candidates on one spine and on fresh spines gives the same maps."""
+    spine = probe_spine(fork_join_job, small_cluster, {}, "C")
+    for x in (0.0, 3.0, 3.0, 40.0):
+        fresh = probe_spine(fork_join_job, small_cluster, {}, "C")
+        assert probe_schedule(spine, x, watch={"C", "D"}) == probe_schedule(
+            fresh, x, watch={"C", "D"}
+        )
+    with pytest.raises(ValueError, match="ran past"):
+        probe_schedule(spine, 1.0)
+    with pytest.raises(ValueError, match="held stage"):
+        probe_schedule(spine, 50.0, watch={"D"})
+
+
+def _engine_state(sim):
+    engine = sim.engine
+    return (
+        engine.now, engine.events_processed, engine.max_active_items,
+        engine.full_allocations, engine.incremental_allocations,
+        [(type(it).__name__, it.remaining, it.rate) for it in engine._items],
+        [(t, seq) for t, seq, _cb in sorted(engine._timers, key=lambda e: e[:2])],
+    )
+
+
+def _record_state(sim):
+    return {
+        key: tuple(getattr(run.record, f) for f in (
+            "ready_time", "submit_time", "read_done_time",
+            "compute_done_time", "finish_time"))
+        for key, run in sim._runs.items()
+    }
+
+
+@pytest.mark.parametrize("config", [
+    SimulationConfig(track_metrics=False),
+    SimulationConfig(track_metrics=False, contention_penalty=0.5, incremental=False),
+    SimulationConfig(track_metrics=False, pipelined_shuffle=True),
+    SimulationConfig(track_metrics=False, task_granular=True),
+], ids=["fluid", "penalty-full", "pipelined", "task-granular"])
+def test_checkpoint_rollback_replays_identically(small_cluster, config):
+    job = random_job(8, parallelism=0.7, rng=5)
+    whole = Simulation(small_cluster, config)
+    whole.add_job(job, ImmediatePolicy())
+    makespan = whole.run().makespan
+
+    sim = Simulation(small_cluster, config)
+    sim.add_job(job, ImmediatePolicy())
+    sim.run_truncated(makespan / 3)
+    sim.checkpoint()
+    saved = (_engine_state(sim), _record_state(sim), len(sim.events))
+
+    sim.run_truncated(math.inf)
+    first = (_engine_state(sim), _record_state(sim), list(sim.events))
+    assert first[0] != saved[0]
+    sim.rollback()
+    assert (_engine_state(sim), _record_state(sim), len(sim.events)) == saved
+    sim.run_truncated(math.inf)
+    assert (_engine_state(sim), _record_state(sim), list(sim.events)) == first
+    assert not any(math.isnan(r[-1]) for r in first[1].values())
+    with pytest.raises(RuntimeError, match="without a checkpoint"):
+        sim.rollback()  # a rollback uses its checkpoint up
+
+
+def test_checkpoint_rejects_fault_plan(small_cluster):
+    from repro.faults import FaultPlan, NodeCrash
+
+    plan = FaultPlan(events=(NodeCrash(time=1.0, node="w1"),))
+    sim = Simulation(small_cluster, SimulationConfig(track_metrics=False,
+                                                     fault_plan=plan))
+    sim.add_job(random_job(4, rng=1), ImmediatePolicy())
+    with pytest.raises(RuntimeError, match="fault plan"):
+        sim.checkpoint()
 
 
 # --------------------------------------------------------------------- #
