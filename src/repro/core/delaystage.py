@@ -247,6 +247,7 @@ def delay_stage_schedule(
     delays: dict[str, float] = {}  # X; absence == unscheduled (the paper's -1)
 
     # Lines 5-21: per path, per stage, scan candidate delays.
+    spine: "Simulation | None" = None
     for path in paths:
         for stage_id in path:
             if stage_id in delays:
@@ -278,12 +279,18 @@ def delay_stage_schedule(
                 x += slot
 
             # Every candidate shares the trajectory until ``stage_id`` is
-            # submitted: one spine per scan simulates it once.
+            # submitted: one spine per scan simulates it once.  The last
+            # scan's winning fork already ran this model up to where
+            # that scan's stage is submitted, so the spine starts there
+            # when it can (see probe_spine).
+            chained = None
             if params.bound_prune:
+                previous = spine
                 spine = probe_spine(
                     model, cluster, delays, stage_id, config=eval_config,
-                    pair_capacities=pair_capacities,
+                    pair_capacities=pair_capacities, previous=previous,
                 )
+                chained = spine is previous
 
             scan_t0 = _time.perf_counter() - started
             scanned: "list[list[float]]" = []
@@ -338,6 +345,8 @@ def delay_stage_schedule(
                 if best_obj is None or obj < best_obj - 1e-9:
                     best_obj = obj
                     best_x = x_hat
+                    if params.bound_prune:
+                        spine.keep_fork()  # the next scan starts from it
             pruned_by_bound_total += pruned_by_bound
 
             delays[stage_id] = best_x
@@ -354,6 +363,8 @@ def delay_stage_schedule(
                     tracer.counters.inc("alg1.pruned_by_bound", pruned_by_bound)
                 if horizon_rejected:
                     tracer.counters.inc("alg1.horizon_rejected", horizon_rejected)
+                if chained:
+                    tracer.counters.inc("alg1.spines_chained")
                 tracer.add_span(
                     f"scan:{stage_id}",
                     scan_t0,
@@ -371,6 +382,8 @@ def delay_stage_schedule(
                         "pruned_by_bound": pruned_by_bound,
                         "rejected_candidates": rejected,
                         "ready_lower_bound": ready_lb,
+                        "spine": None if chained is None
+                        else "chained" if chained else "fresh",
                         "chosen_delay": best_x,
                         "best_makespan": best_obj,
                     }},

@@ -109,11 +109,24 @@ def probe_spine(
     *,
     config: "SimulationConfig | None" = None,
     pair_capacities: "dict[tuple[str, str], float] | None" = None,
+    previous: "Simulation | None" = None,
 ) -> Simulation:
     """The shared prefix of one scan over ``stage_id``'s delay: every
     candidate runs ``job`` under the same fixed ``delays``, so their
     trajectories agree until ``stage_id`` is submitted.  The spine is
-    that run with ``stage_id`` held back, starting at t=0."""
+    that run with ``stage_id`` held back.
+
+    ``previous`` is the last scan's spine, whose winning fork was kept
+    (:meth:`~repro.simulator.simulation.Simulation.keep_fork`); its
+    model must be ``job`` with ``stage_id`` a phantom, under ``delays``
+    without the last scanned stage.  Up to that fork point both runs
+    agree, so when :meth:`~repro.simulator.simulation.Simulation.chain`
+    can carry it over, ``previous`` is returned as this scan's spine.
+    Otherwise the spine starts at t=0.
+    """
+    if previous is not None and previous.chain(
+            job, FixedDelayPolicy(dict(delays)), stage_id):
+        return previous
     cfg = config or SimulationConfig(track_metrics=False, track_events=False)
     sim = Simulation(cluster, cfg, pair_capacities=pair_capacities)
     sim.add_job(job, FixedDelayPolicy(dict(delays)))
@@ -142,7 +155,9 @@ def probe_schedule(
 
     The spine advances to the last point it shares with the candidate,
     which then runs on a fork (checkpoint, release the held stage, run,
-    rollback): the common prefix is simulated once per scan.  Probes
+    rollback): the common prefix is simulated once per scan.  The fork
+    point stays saved until the next probe, for the caller to keep
+    (:meth:`~repro.simulator.simulation.Simulation.keep_fork`).  Probes
     come in scan order (delays ascending, no horizon before an earlier
     submit instant); ``watch`` must include the held stage.
 

@@ -4,8 +4,9 @@ Consumes the Chrome trace-event documents written by
 :mod:`repro.obs.export` and reconstructs the logical structures the
 emitters recorded: the per-stage phase span tree, Algorithm 1's
 decision audit (bounds, candidates, predicted makespans, chosen
-delay), and the final delay tables — which must match, stage for
-stage, the table ``repro schedule`` prints for the same workload.
+delay, whether the scan's spine was chained), and the final delay
+tables — which must match, stage for stage, the table
+``repro schedule`` prints for the same workload.
 Backs the ``repro inspect`` CLI subcommand.
 """
 
@@ -245,7 +246,7 @@ def render_summary(doc: Mapping[str, Any], max_stages: int = 50) -> str:
         lines.append(f"decision audit ({len(audits)} stage scan(s)):")
         lines.append(
             f"  {'stage':16s} {'bounds':>18s} {'evaluated':>9s} "
-            f"{'pruned':>6s} {'chosen':>8s} {'makespan':>10s}"
+            f"{'pruned':>6s} {'chosen':>8s} {'makespan':>10s} {'spine':>7s}"
         )
         for a in audits:
             lo, hi = a.get("bounds", (0.0, 0.0))
@@ -255,7 +256,8 @@ def render_summary(doc: Mapping[str, Any], max_stages: int = 50) -> str:
                 f"{len(a.get('candidates', ())):>9d} "
                 f"{a.get('pruned', 0):>6d} "
                 f"{a.get('chosen_delay', 0.0):>8.1f} "
-                f"{a.get('best_makespan', float('nan')):>10.1f}"
+                f"{a.get('best_makespan', float('nan')):>10.1f} "
+                f"{a.get('spine') or '-':>7s}"
             )
 
     tables = delay_tables(doc)

@@ -31,7 +31,7 @@ class WorkItem:
     __slots__ = ("remaining", "rate", "on_complete", "_pos")
 
     #: Attributes a run mutates, saved and restored by
-    #: :meth:`FluidEngine.checkpoint` / :meth:`FluidEngine.rollback`
+    #: :meth:`FluidEngine.checkpoint` / :meth:`FluidEngine.restore`
     #: (subclasses append the ones their allocator sets).
     _STATE: "tuple[str, ...]" = ("remaining", "rate")
 
@@ -124,7 +124,6 @@ class FluidEngine:
         #: clock passes ``time``, or between two timer pops of its instant.
         self.pause_key: "tuple[float, float] | None" = None
         self._mid_instant = False  # paused between two timer pops
-        self._saved: "tuple | None" = None
         self._dirty = True  # active set changed; rates must be recomputed
         self._full_dirty = True  # external mutation; incremental unsafe
         self._stop_requested = False
@@ -219,10 +218,10 @@ class FluidEngine:
         # next reallocation must be a full one.
         self._full_dirty = True
 
-    def checkpoint(self) -> None:
-        """Save the loop state for :meth:`rollback`, which restores it
-        onto the *same* item objects (completion callbacks stay valid)."""
-        self._saved = (
+    def checkpoint(self) -> tuple:
+        """The loop state, for :meth:`restore` to put back onto the
+        *same* item objects (completion callbacks stay valid)."""
+        return (
             [(it, [getattr(it, a) for a in it._STATE]) for it in self._items],
             self.now, self._timers.copy(), self._added.copy(),
             self._removed.copy(), self._seq, self.pause_key, self._mid_instant,
@@ -231,15 +230,16 @@ class FluidEngine:
             self.full_allocations, self.incremental_allocations,
         )
 
-    def rollback(self) -> None:
-        """Restore (and use up) the last :meth:`checkpoint`."""
-        if self._saved is None:
-            raise RuntimeError("rollback without a checkpoint")
-        (items, self.now, self._timers, self._added, self._removed, self._seq,
+    def restore(self, state: tuple) -> None:
+        """Put back a :meth:`checkpoint`, taken at this point or at an
+        earlier one.  The state is copied, so it can be restored again."""
+        (items, self.now, timers, added, removed, self._seq,
          self.pause_key, self._mid_instant, self._dirty, self._full_dirty,
          self._stop_requested, self.events_processed, self.max_active_items,
-         self.full_allocations, self.incremental_allocations) = self._saved
-        self._saved = None
+         self.full_allocations, self.incremental_allocations) = state
+        self._timers[:] = timers
+        self._added[:] = added
+        self._removed[:] = removed
         for pos, (item, values) in enumerate(items):
             for name, value in zip(item._STATE, values):
                 setattr(item, name, value)

@@ -429,14 +429,22 @@ def flow_components(flows: Sequence[NetworkFlow]) -> list[list[int]]:
             parent[x], x = root, parent[x]
         return root
 
-    for f in flows:
-        for node in (f.src, f.dst):
-            parent.setdefault(node, node)
-        ra, rb = find(f.src), find(f.dst)
+    # Every running stage opens one flow per (source, worker) pair, so
+    # pairs repeat across stages: union each distinct pair once.
+    for src, dst in dict.fromkeys((f.src, f.dst) for f in flows):
+        parent.setdefault(src, src)
+        parent.setdefault(dst, dst)
+        ra, rb = find(src), find(dst)
         if ra != rb:
             parent[rb] = ra
 
+    root_of = {node: find(node) for node in parent}
     groups: dict[str, list[int]] = {}
     for i, f in enumerate(flows):
-        groups.setdefault(find(f.src), []).append(i)
+        root = root_of[f.src]
+        group = groups.get(root)
+        if group is None:
+            groups[root] = [i]
+        else:
+            group.append(i)
     return list(groups.values())

@@ -408,6 +408,7 @@ class Simulation:
         self._released = False
         self._position: "tuple[float, float]" = (-math.inf, -math.inf)
         self._saved: "tuple | None" = None
+        self._kept: "tuple | None" = None  # keep_fork(): (checkpoint, delay)
         #: Fault injector; None (no overhead, byte-identical event logs)
         #: unless the config carries a non-empty fault plan.  Imported
         #: lazily so the simulator has no hard dependency on the fault
@@ -533,6 +534,17 @@ class Simulation:
             self._emit_trace(result)
         if _sanitizer.ENABLED:
             _sanitizer.check_result(result)
+        # The engine's allocator callbacks and its last change lists
+        # (items whose completion closures hold this simulation) tie the
+        # simulation into reference cycles.  A finished run needs none
+        # of them; dropping them lets reference counting free the
+        # simulation's books as soon as the caller does, instead of the
+        # cyclic collector some runs later.
+        engine = self.engine
+        engine._allocate = engine._allocate_incremental = None
+        engine._added.clear()
+        engine._removed.clear()
+        self._scoped = None
         return result
 
     def run_truncated(
@@ -641,8 +653,8 @@ class Simulation:
                                "degradation injections or metric tracking")
         if not self._started:
             raise RuntimeError("checkpoint needs a started run")
-        self.engine.checkpoint()
         self._saved = (
+            self.engine.checkpoint(),
             [(run, vars(run.record).copy(), run.remaining_parents, run.submitted,
               run.compute_volume, run.pending_reads.copy(),
               run.prefetch_assigned.copy(), run.parts_read_done.copy(),
@@ -661,20 +673,88 @@ class Simulation:
         )
 
     def rollback(self) -> None:
-        """Restore (and use up) the last :meth:`checkpoint`."""
-        self.engine.rollback()  # raises without a checkpoint
-        (runs, jobs, self._remaining_stages, self._prefetch_outstanding,
-         self._free_slots, self._running, self._pending_tasks,
-         self._task_queues, self._watch_remaining, n_events, self._held_seq,
-         self._released) = self._saved
+        """Restore the last :meth:`checkpoint`.  The restore copies it, so
+        the checkpoint stays valid for another one."""
+        if self._saved is None:
+            raise RuntimeError("rollback without a checkpoint")
+        self._restore(self._saved)
+
+    def _restore(self, saved: tuple) -> None:
+        (engine, runs, jobs, remaining, prefetch, free_slots, running, pending,
+         queues, watch, n_events, self._held_seq, self._released) = saved
+        self.engine.restore(engine)
         for (run, record, run.remaining_parents, run.submitted,
-             run.compute_volume, run.pending_reads, run.prefetch_assigned,
-             run.parts_read_done, run.parts_compute_done, run.parts_write_done,
-             run.compute_active) in runs:
+             run.compute_volume, reads, assigned, read_done, compute_done,
+             write_done, active) in runs:
             vars(run.record).update(record)
+            run.pending_reads = reads.copy()
+            run.prefetch_assigned = assigned.copy()
+            run.parts_read_done = read_done.copy()
+            run.parts_compute_done = compute_done.copy()
+            run.parts_write_done = write_done.copy()
+            run.compute_active = active.copy()
         for rec, finish in jobs:
             rec.finish_time = finish
+        self._remaining_stages = remaining.copy()
+        self._prefetch_outstanding = prefetch.copy()
+        self._free_slots = free_slots.copy()
+        self._running = running.copy()
+        self._pending_tasks = pending.copy()
+        self._task_queues = {w: {k: list(v) for k, v in q.items()}
+                             for w, q in queues.items()}
+        self._watch_remaining = None if watch is None else set(watch)
         del self.events[n_events:]
+
+    def keep_fork(self) -> None:
+        """Keep the last :meth:`checkpoint` — the fork point of the last
+        probe — and its delay for :meth:`chain`."""
+        if self._saved is None:
+            raise RuntimeError("keep_fork without a checkpoint")
+        self._kept = (self._saved, self._held_delay)
+
+    def chain(self, job: Job, policy: SubmissionPolicy, stage_id: str) -> bool:
+        """Turn this spine into the next scan's, from the kept fork point.
+
+        Returns to the point :meth:`keep_fork` kept, which is still on
+        this spine's trajectory: stages finished there never change
+        again.  From there the held stage is released with the kept
+        delay, ``job`` and ``policy`` replace the spine's job and policy,
+        and ``stage_id`` is held.  ``job`` must be the spine's job with
+        only ``stage_id``'s parameters changed (a phantom made real), and
+        ``policy`` must give every other not yet ready stage the same
+        delay.  The result is then the run :meth:`hold` gives on ``job``
+        from t=0, paused at the kept point.
+
+        Returns ``False``, and leaves the spine unusable, when that does
+        not hold: ``stage_id`` was already ready at the kept point, or
+        pipelined shuffle is on (parents push prefetch flows sized by
+        the child's input before the child is ready, so the stage's
+        parameters shape the trajectory before it is ready).
+        """
+        if self._kept is None or self.config.pipelined_shuffle:
+            return False
+        job_id = self._held_key[0]
+        if job.job_id != job_id or job.stage_ids != self._jobs[job_id][0].stage_ids:
+            raise ValueError("chain needs the spine's job with the same stages")
+        saved, self._held_delay = self._kept
+        self._kept = self._saved = None
+        self._restore(saved)
+        if self._held_seq is None:
+            return False  # the held stage never became ready
+        target = self._runs[(job_id, stage_id)]
+        if not math.isnan(target.record.ready_time):
+            return False
+        self.release_held()
+        self._jobs[job_id] = (job, policy, self._jobs[job_id][2])
+        for (_jid, sid), run in self._runs.items():
+            run.job = job
+            run.stage = job.stage(sid)
+        self._held_key = (job_id, stage_id)
+        self._held_delay = 0.0
+        self._held_seq = None
+        self._released = False
+        self._position = (-math.inf, -math.inf)
+        return True
 
     # ------------------------------------------------------------------ #
     # lifecycle transitions

@@ -161,6 +161,7 @@ def test_compare_emit_trace_and_inspect(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "span tree" in out
     assert "decision audit" in out
+    assert " spine" in out and ("fresh" in out or "chained" in out)
     assert "shuffle-read" in out and "delay-wait" in out
     assert "delay table for als" in out
 
@@ -181,6 +182,10 @@ def test_inspect_reconstructs_schedule_table(tmp_path, capsys):
     assert inspected["manifest"]["config_hash"] == scheduled[
         "manifest"]["config_hash"]
     assert inspected["decision_audits"]
+    # The first scan of a plan builds its spine from t=0.
+    spines = [a["spine"] for a in inspected["decision_audits"]]
+    assert spines[0] == "fresh"
+    assert set(spines) <= {"fresh", "chained"}
 
 
 def test_compare_manifest_flag(capsys):

@@ -1,8 +1,8 @@
 """The perf layer is bit-exact: optimized and escape-hatch paths agree.
 
 The scoped allocator, Algorithm 1 bound pruning, prefix-shared probes
-and parallel replay claim *identical* results — not
-merely close ones.  These property tests are that claim's enforcement:
+(on fresh and chained spines) and parallel replay claim *identical*
+results — not merely close ones.  These property tests are that claim's enforcement:
 every comparison below is ``==`` on floats, never ``pytest.approx``.
 """
 
@@ -90,6 +90,43 @@ def test_incremental_allocator_bit_identical(seed, num_stages, num_jobs, penalty
     _assert_results_identical(scoped, full)
 
 
+def _flow_components_per_flow(flows):
+    """The reference decomposition: one union per flow."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for f in flows:
+        parent.setdefault(f.src, f.src)
+        parent.setdefault(f.dst, f.dst)
+        ra, rb = find(f.src), find(f.dst)
+        if ra != rb:
+            parent[rb] = ra
+    groups = {}
+    for i, f in enumerate(flows):
+        groups.setdefault(find(f.src), []).append(i)
+    return list(groups.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda p: p[0] != p[1]),
+    max_size=60,
+))
+def test_flow_components_match_per_flow_union_find(pairs):
+    """Unioning each distinct endpoint pair once gives the same
+    components, in the same order, as one union per flow."""
+    from repro.simulator.fairshare import flow_components
+    from repro.simulator.flows import NetworkFlow
+
+    flows = [NetworkFlow(src=f"n{a}", dst=f"n{b}", volume=1.0,
+                         stage_key=("J", "S")) for a, b in pairs]
+    assert flow_components(flows) == _flow_components_per_flow(flows)
+
+
 def test_incremental_eventlog_seed_identical():
     """The serialized eventlog — not just the records — is byte-equal."""
     from repro.simulator.eventlog import write_eventlog
@@ -147,7 +184,8 @@ def test_pruned_alg1_with_refinement_identical():
 
 
 # --------------------------------------------------------------------- #
-# prefix-shared probes: a fork of the scan's spine == a fresh probe run
+# prefix-shared probes: a fork of the scan's spine == a fresh probe run,
+# whether the spine started at t=0 or continued the last scan's winner
 
 
 def _fresh_probe(job, config, delays, stage_id, x, horizon, watch):
@@ -173,23 +211,19 @@ _PROBE_CONFIGS = [
 ]
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    num_stages=st.integers(2, 9),
-    parallelism=st.floats(0.3, 0.9),
-    config=st.sampled_from(_PROBE_CONFIGS),
-)
-def test_forked_probes_match_fresh_runs(seed, num_stages, parallelism, config):
-    """Every probe of every Algorithm 1 scan returns exactly the map a
-    fresh run of the same model, trial, horizon and watch set gives."""
-    job = random_job(num_stages, parallelism=parallelism, rng=seed)
+def _checked_alg1(job, config):
+    """Run Algorithm 1 on ``job``, checking that every probe returns
+    exactly the map a fresh run of its scan's model, trial, horizon and
+    watch set gives — on fresh and on chained spines alike.  Returns the
+    stage ids of the scans, each marked chained or not."""
     scans: dict = {}
+    spines = []
     probes = []
 
     def spine(model, cluster, delays, stage_id, **kwargs):
         sim = probe_spine(model, cluster, delays, stage_id, **kwargs)
         scans[sim] = (model, kwargs["config"], dict(delays), stage_id)
+        spines.append((stage_id, sim is kwargs["previous"]))
         return sim
 
     def probe(sim, x, *, horizon, watch):
@@ -203,7 +237,41 @@ def test_forked_probes_match_fresh_runs(seed, num_stages, parallelism, config):
         delay_stage_schedule(
             job, _cluster(), DelayStageParams(max_slots=6, sim_config=config)
         )
-    assert len(probes) >= len(scans)
+    assert len(probes) >= len(spines)
+    return spines
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_stages=st.integers(2, 9),
+    parallelism=st.floats(0.3, 0.9),
+    config=st.sampled_from(_PROBE_CONFIGS),
+)
+def test_forked_probes_match_fresh_runs(seed, num_stages, parallelism, config):
+    """Every probe of every Algorithm 1 scan returns exactly the map a
+    fresh run of the same model, trial, horizon and watch set gives."""
+    job = random_job(num_stages, parallelism=parallelism, rng=seed)
+    spines = _checked_alg1(job, config)
+    if config.pipelined_shuffle:
+        # A parent pushes prefetch flows sized by its child's input
+        # before the child is ready: phantom and real children differ.
+        assert not any(chained for _sid, chained in spines)
+
+
+@pytest.mark.parametrize(
+    "config", [c for c in _PROBE_CONFIGS if not c.pipelined_shuffle],
+    ids=["fluid", "penalty", "full", "full-penalty", "fanin", "task-granular"],
+)
+def test_chained_spines_occur(config):
+    """The fluid configs chain scans (and the chained probes match)."""
+    chained = 0
+    for seed in range(4):
+        job = random_job(8, parallelism=0.6, rng=seed)
+        spines = _checked_alg1(job, config)
+        assert not spines[0][1]  # the first scan of a plan starts fresh
+        chained += sum(flag for _sid, flag in spines)
+    assert chained >= 1
 
 
 def _diamond():
@@ -276,6 +344,85 @@ def test_fork_at_submit_instant_of_a_completion():
     while ready + x != finish:
         x = math.nextafter(x, math.inf if ready + x < finish else -math.inf)
     _check_probes(job, "S3", [(0.0, math.inf), (x, math.inf)])
+
+
+def _chain_diamond(s2_input_mb=256):
+    """S1 feeds S2 -> S4 and S3; S5 joins both branches."""
+    return (
+        JobBuilder("chain")
+        .stage("S1", input_mb=256, output_mb=256, process_rate_mb=20)
+        .stage("S2", input_mb=s2_input_mb, output_mb=128, process_rate_mb=20,
+               parents=["S1"])
+        .stage("S3", input_mb=768, output_mb=128, process_rate_mb=20,
+               parents=["S1"])
+        .stage("S4", input_mb=256, output_mb=64, process_rate_mb=20,
+               parents=["S2"])
+        .stage("S5", input_mb=128, output_mb=32, process_rate_mb=20,
+               parents=["S3", "S4"])
+        .build()
+    )
+
+
+def test_chained_spine_off_diamond_winner():
+    """Algorithm 1 scans the path S2 -> S4 first: S4 becomes ready only
+    after S2 finishes, so its scan chains off S2's winning fork, while
+    the S3 scan after it (S3 was ready with S2) starts fresh."""
+    from repro.obs.tracer import Tracer
+
+    job = _chain_diamond(s2_input_mb=512)
+    assert _checked_alg1(job, _QUIET) == [
+        ("S2", False), ("S4", True), ("S3", False)]
+    tracer = Tracer()
+    delay_stage_schedule(job, _cluster(),
+                         DelayStageParams(max_slots=6, sim_config=_QUIET),
+                         tracer=tracer)
+    audits = {s.args["audit"]["stage_id"]: s.args["audit"]["spine"]
+              for s in tracer.spans}
+    assert audits == {"S2": "fresh", "S4": "chained", "S3": "fresh"}
+    assert tracer.counters.get("alg1.spines_chained") == 1
+
+
+def test_chain_returns_to_an_earlier_kept_fork():
+    """The kept fork need not be the spine's last: after later probes
+    ran the spine past it, the chained spine still equals a fresh one
+    of the next scan's model, with the kept delay fixed."""
+    from repro.core.delaystage import _phantom_job
+
+    job = _chain_diamond()
+    first = _phantom_job(job, frozenset({"S3", "S4"}))
+    second = _phantom_job(job, frozenset({"S3"}))
+    spine = probe_spine(first, _cluster(), {}, "S2", config=_QUIET)
+    watch = {"S2"}
+    for x in (0.0, 3.0, 6.0, 9.0):
+        probe_schedule(spine, x, watch=watch)
+        if x == 3.0:
+            spine.keep_fork()
+    chained = probe_spine(second, _cluster(), {"S2": 3.0}, "S4",
+                          config=_QUIET, previous=spine)
+    assert chained is spine
+    watch = {"S2", "S4"}
+    for x, horizon in ((0.0, math.inf), (2.0, math.inf), (4.0, 60.0)):
+        got = probe_schedule(chained, x, horizon=horizon, watch=watch)
+        assert got == _fresh_probe(second, _QUIET, {"S2": 3.0}, "S4", x,
+                                   horizon, watch)
+
+
+def test_chain_falls_back_when_the_stage_was_ready():
+    """S3 becomes ready with S2, before S2's fork point: no chain."""
+    from repro.core.delaystage import _phantom_job
+
+    job = _chain_diamond()
+    first = _phantom_job(job, frozenset({"S3", "S4"}))
+    spine = probe_spine(first, _cluster(), {}, "S2", config=_QUIET)
+    probe_schedule(spine, 2.0, watch={"S2"})
+    spine.keep_fork()
+    model = _phantom_job(job, frozenset({"S4"}))
+    fresh = probe_spine(model, _cluster(), {"S2": 2.0}, "S3", config=_QUIET,
+                        previous=spine)
+    assert fresh is not spine
+    got = probe_schedule(fresh, 1.0, watch={"S2", "S3"})
+    assert got == _fresh_probe(model, _QUIET, {"S2": 2.0}, "S3", 1.0,
+                               math.inf, {"S2", "S3"})
 
 
 def test_fork_with_horizon_before_submit_instant():

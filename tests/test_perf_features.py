@@ -8,7 +8,9 @@ allocator telemetry, and the metrics fast paths.
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -106,13 +108,36 @@ def test_checkpoint_rollback_replays_identically(small_cluster, config):
     sim.run_truncated(math.inf)
     first = (_engine_state(sim), _record_state(sim), list(sim.events))
     assert first[0] != saved[0]
-    sim.rollback()
-    assert (_engine_state(sim), _record_state(sim), len(sim.events)) == saved
-    sim.run_truncated(math.inf)
-    assert (_engine_state(sim), _record_state(sim), list(sim.events)) == first
+    # A rollback copies its checkpoint, which stays valid for another.
+    for _ in range(2):
+        sim.rollback()
+        assert (_engine_state(sim), _record_state(sim), len(sim.events)) == saved
+        sim.run_truncated(math.inf)
+        assert (_engine_state(sim), _record_state(sim), list(sim.events)) == first
     assert not any(math.isnan(r[-1]) for r in first[1].values())
+    fresh = Simulation(small_cluster, config)
     with pytest.raises(RuntimeError, match="without a checkpoint"):
-        sim.rollback()  # a rollback uses its checkpoint up
+        fresh.rollback()
+    with pytest.raises(RuntimeError, match="without a checkpoint"):
+        fresh.keep_fork()
+
+
+@pytest.mark.parametrize("incremental", [True, False], ids=["scoped", "full"])
+def test_finished_run_frees_without_the_cycle_collector(small_cluster, incremental):
+    """Once run() returns, only the caller holds the simulation: it is
+    freed by reference counting, not some runs later by the cyclic
+    collector (a batch of finished runs would pile up in memory)."""
+    sim = Simulation(small_cluster, SimulationConfig(incremental=incremental))
+    sim.add_job(random_job(6, parallelism=0.7, rng=3), ImmediatePolicy())
+    result = sim.run()
+    alive = weakref.ref(sim)
+    gc.disable()
+    try:
+        del sim
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert result.makespan > 0
 
 
 def test_checkpoint_rejects_fault_plan(small_cluster):
