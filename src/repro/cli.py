@@ -19,8 +19,6 @@ The subcommands cover the common workflows without writing any code:
   schedules, delay tables, and cluster specs (exit 1 on ERROR).
 * ``inspect``   — summarize (and optionally schema-validate) a trace
   file written with ``--emit-trace``.
-* ``bench``     — performance benchmarks with equivalence checks;
-  ``--compare DIR`` additionally diffs against committed baselines.
 
 Output contract: every result-printing subcommand accepts ``--json``,
 in which case the machine-readable payload (always carrying the run
@@ -737,13 +735,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
               "--faults/--chaos-seed on replay (use compare for a "
               "fault-annotated trace)")
         return 2
-    incremental = not getattr(args, "no_incremental", False)
     fuxi = FuxiScheduler(track_metrics=False, contention_penalty=args.penalty,
-                         incremental=incremental, fault_plan=plan)
+                         fault_plan=plan)
     ds = DelayStageScheduler(
         profiled=False, track_metrics=False, contention_penalty=args.penalty,
-        params=DelayStageParams(max_slots=12),
-        incremental=incremental, fault_plan=plan,
+        params=DelayStageParams(max_slots=12), fault_plan=plan,
         replan=plan is not None,
     )
     manifest = build_manifest(
@@ -1019,77 +1015,6 @@ def cmd_tail(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_benchmarks, write_results
-
-    if getattr(args, "profile", False):
-        from repro.bench import profile_benchmarks, write_profiles
-
-        pairs = profile_benchmarks(args.benchmarks, quick=args.quick)
-        reports = [report for _, report in pairs]
-        # Profiled wall times are distorted (the tracer taxes Python
-        # calls, not numpy kernels), so only the hotspot tables and the
-        # equivalence bits leave this run — never BENCH json.
-        paths = write_profiles(reports, args.out) if args.out else []
-        payload = {
-            "command": "bench",
-            "quick": args.quick,
-            "profile": True,
-            "results": [
-                {"name": rep.name, "equivalent": res.equivalent,
-                 "total_calls": rep.total_calls,
-                 "profiled_seconds": rep.total_seconds}
-                for res, rep in pairs
-            ],
-            "written": paths,
-        }
-        lines = [rep.summary() for rep in reports]
-        for path in paths:
-            lines.append(f"wrote {path}")
-        ok = all(res.equivalent for res, _ in pairs)
-        if not ok:
-            lines.append("FAIL: optimized and escape-hatch results differ")
-        _finish(args, payload, "\n".join(lines))
-        return 0 if ok else 1
-
-    results = run_benchmarks(args.benchmarks, quick=args.quick)
-    paths = write_results(results, args.out) if args.out else []
-    payload = {
-        "command": "bench",
-        "quick": args.quick,
-        "results": [r.to_dict() for r in results],
-        "written": paths,
-    }
-    lines = [r.summary() for r in results]
-    for path in paths:
-        lines.append(f"wrote {path}")
-    ok = all(r.equivalent for r in results)
-    if args.compare:
-        from repro.bench import (
-            compare_to_baselines,
-            has_failures,
-            render_findings,
-        )
-
-        findings = compare_to_baselines(
-            results, args.compare, wall_threshold=args.threshold
-        )
-        payload["watchdog"] = {
-            "baseline_dir": args.compare,
-            "threshold": args.threshold,
-            "findings": [
-                {"name": f.name, "severity": f.severity, "message": f.message}
-                for f in findings
-            ],
-        }
-        lines.append(render_findings(findings))
-        ok = ok and not has_failures(findings)
-    if not all(r.equivalent for r in results):
-        lines.append("FAIL: optimized and escape-hatch results differ")
-    _finish(args, payload, "\n".join(lines))
-    return 0 if ok else 1
-
-
 def _verify_workload(name: str, scale: float) -> "Job":
     if name in EXTRA_WORKLOADS:
         return EXTRA_WORKLOADS[name](scale)
@@ -1334,9 +1259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", type=int, default=1, metavar="N",
                    help="replay worker processes (results identical "
                         "for any N; --emit-trace forces serial)")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="bisection switch: full fair-share re-solve on "
-                        "every event (results identical, slower)")
     add_faults_args(p)
     add_json_arg(p)
     add_trace_args(p)
@@ -1427,34 +1349,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "counter samples")
     add_json_arg(p)
     p.set_defaults(func=cmd_inspect)
-
-    p = sub.add_parser(
-        "bench", help="performance benchmarks with equivalence checks"
-    )
-    p.add_argument("--bench", action="append", dest="benchmarks",
-                   metavar="NAME", choices=["realloc", "alg1", "replay"],
-                   help="benchmark to run (repeatable; default: all)")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller inputs / fewer repeats (CI mode)")
-    p.add_argument("--out", default="benchmarks/perf", metavar="DIR",
-                   help="directory for BENCH_<name>.json "
-                        "(empty string: don't write)")
-    p.add_argument("--compare", metavar="DIR",
-                   help="watchdog: diff fresh results against the "
-                        "BENCH_*.json baselines in DIR; exit 1 on a "
-                        "wall-time regression past the threshold or an "
-                        "equivalence break")
-    p.add_argument("--threshold", type=float, default=1.5,
-                   help="watchdog wall-time regression factor "
-                        "(default: 1.5x; only applied to baselines "
-                        "with comparable inputs)")
-    p.add_argument("--profile", action="store_true",
-                   help="run each bench under cProfile and write "
-                        "PROFILE_<name>.txt hotspot tables to --out "
-                        "instead of BENCH json (profiled wall times "
-                        "are distorted and never archived)")
-    add_json_arg(p)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "verify", help="validate workload DAGs, schedules, and clusters"

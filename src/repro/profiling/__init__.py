@@ -13,12 +13,9 @@ model error quantified in Appendix A.2.
 
 from repro.profiling.profiler import ProfileReport, profile_job
 from repro.profiling.measurement import measure_cluster
-from repro.profiling.hotspots import HotspotReport, capture_hotspots
 
 __all__ = [
     "ProfileReport",
     "profile_job",
     "measure_cluster",
-    "HotspotReport",
-    "capture_hotspots",
 ]

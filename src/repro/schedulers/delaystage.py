@@ -60,7 +60,6 @@ class DelayStageScheduler(Scheduler):
         track_metrics: bool = True,
         track_occupancy: bool = False,
         contention_penalty: float = 0.0,
-        incremental: bool = True,
         fault_plan=None,
         replan: bool = False,
     ) -> None:
@@ -74,14 +73,6 @@ class DelayStageScheduler(Scheduler):
                     track_metrics=False, contention_penalty=contention_penalty
                 ),
             )
-        if not incremental:
-            # Bisection switch: force the planning evaluations onto the
-            # full-allocator path too, so --no-incremental exercises an
-            # end-to-end unoptimized pipeline.
-            base = self.params.sim_config or SimulationConfig(track_metrics=False)
-            self.params = replace(
-                self.params, sim_config=replace(base, incremental=False)
-            )
         self.profiled = profiled
         self.sample_fraction = sample_fraction
         self.profiling_noise = profiling_noise
@@ -92,7 +83,6 @@ class DelayStageScheduler(Scheduler):
             track_metrics=track_metrics,
             track_occupancy=track_occupancy,
             contention_penalty=contention_penalty,
-            incremental=incremental,
             fault_plan=fault_plan,
         )
         order_name = PathOrder(self.params.order).value

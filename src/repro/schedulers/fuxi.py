@@ -30,13 +30,11 @@ class FuxiScheduler(Scheduler):
         self,
         track_metrics: bool = True,
         contention_penalty: float = 0.0,
-        incremental: bool = True,
         fault_plan=None,
     ) -> None:
         self._config = SimulationConfig(
             track_metrics=track_metrics,
             contention_penalty=contention_penalty,
-            incremental=incremental,
             fault_plan=fault_plan,
         )
 

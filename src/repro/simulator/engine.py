@@ -96,8 +96,9 @@ class FluidEngine:
     #: throughput accounting: a scheduler run drives many engines —
     #: Algorithm 1's planning probes simulate the job dozens of times
     #: before the final execution run — and this counter is the only
-    #: place that total is visible.  The bench harness samples it
-    #: around a timed section; simulations never read it.
+    #: place that total is visible.  The perfbench ledger and the
+    #: planning-count tests sample it around a section of work;
+    #: simulations never read it.
     TOTAL_EVENTS = 0
 
     def __init__(

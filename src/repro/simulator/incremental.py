@@ -29,8 +29,8 @@ allocator uses (``compute_shares`` / ``disk_shares`` /
 ``maxmin_rates_seq``) on the same item subsets in the same order,
 the resulting rates are bit-identical to a full re-solve — a property
 the test suite asserts with hypothesis (`tests/test_perf_equivalence.py`)
-and that makes ``--no-incremental`` a pure bisection switch rather than
-a different model.
+and that makes ``SimulationConfig(incremental=False)`` a reference path
+rather than a different model.
 
 The allocator is only installed when the simulation config allows it
 (``incremental=True`` and no pipelined shuffle: AggShuffle prefetch

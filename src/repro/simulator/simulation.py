@@ -121,8 +121,9 @@ class SimulationConfig:
     #: finishes, re-solve only the resource groups (node executors, node
     #: disk, NIC-connected flow components) it touches instead of the
     #: whole cluster.  Rates are bit-identical to the full re-solve (the
-    #: scoped path calls the same solvers on the same subsets); disable
-    #: (``--no-incremental``) only to bisect a suspected allocator bug.
+    #: scoped path calls the same solvers on the same subsets); ``False``
+    #: is the reference full re-solve the equivalence tests compare
+    #: against.
     #: Ignored — the full allocator always runs — when
     #: ``pipelined_shuffle`` is on, because prefetch rate caps couple
     #: network rates to producer compute rates across resource groups.

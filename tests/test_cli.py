@@ -303,16 +303,3 @@ def test_inspect_counters_json(tmp_path, capsys):
     assert rows and {"track", "counter", "min", "mean", "max",
                      "last"} <= set(rows[0])
     assert {r["counter"] for r in rows} >= {"cpu_busy", "net_in"}
-
-
-def test_bench_profile_writes_hotspot_tables(tmp_path, capsys):
-    out = tmp_path / "prof"
-    assert main(["bench", "--bench", "alg1", "--quick", "--profile",
-                 "--out", str(out), "--json"]) == 0
-    payload = _json_out(capsys)
-    assert payload["profile"] is True
-    (entry,) = payload["results"]
-    assert entry["name"] == "alg1" and entry["equivalent"]
-    # Profiled runs archive hotspot tables, never BENCH json.
-    assert payload["written"] == [str(out / "PROFILE_alg1.txt")]
-    assert not list(out.glob("BENCH_*.json"))

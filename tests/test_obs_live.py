@@ -12,7 +12,8 @@ Covers the PR's acceptance contract end to end:
   ``repro report --prometheus`` exporter for the shared families;
 * fault-injection counters on ``/metrics`` match ``FaultStats``;
 * results are bit-identical with the server on, and the full plane
-  (publisher + hub + server) stays under the 5% overhead guard;
+  (publisher + hub + server) stays off the event loop: its calls are
+  bounded by engine events, and a scrape simulates nothing;
 * the flow analyzer still catches F101-class findings seeded inside
   ``obs/live``, while sanctioned thread spawns raise nothing.
 """
@@ -24,7 +25,6 @@ import io
 import json
 import shutil
 import threading
-import time
 import urllib.error
 import urllib.request
 
@@ -60,6 +60,7 @@ from repro.schedulers import (
     replay_batch,
     run_with_scheduler,
 )
+from repro.simulator.engine import FluidEngine
 from repro.simulator.simulation import (
     ImmediatePolicy,
     Simulation,
@@ -67,7 +68,12 @@ from repro.simulator.simulation import (
 )
 from repro.trace import TraceGeneratorConfig, generate_trace, to_job
 
-from .testutil import make_job
+from .testutil import (
+    CountingPublisher,
+    assert_off_the_event_loop,
+    make_job,
+    replay_shaped_runs,
+)
 
 
 def _get(url: str, timeout: float = 10.0) -> "tuple[int, str, str]":
@@ -641,50 +647,26 @@ class TestEndToEnd:
             pub.close()
         assert served == baseline  # bit-identical, not approx
 
-    def test_full_plane_overhead_under_five_percent(self, tiny_cluster):
-        trace = generate_trace(
-            TraceGeneratorConfig(num_jobs=8, replay_workers=2, max_stages=20),
-            rng=0,
-        )
-        jobs = [to_job(tj) for tj in trace[:4]]
-        schedulers = [
-            FuxiScheduler(track_metrics=False),
-            DelayStageScheduler(profiled=False, track_metrics=False,
-                                params=DelayStageParams(max_slots=8)),
-        ]
+    def test_full_plane_stays_off_the_event_loop(self, tiny_cluster):
+        # The full plane is publisher + hub + HTTP server.  Its cost is
+        # counted, not timed: the same contract as --progress, and a
+        # /metrics render simulates nothing.
+        off = replay_shaped_runs(tiny_cluster)
+        pub = CountingPublisher(run_id="replay", total_jobs=len(off))
+        hub = LiveHub(bus=pub.bus)
+        with LiveServer(hub, port=0) as server:
+            on = replay_shaped_runs(tiny_cluster, progress=pub)
+            pub.close()
+            before = FluidEngine.TOTAL_EVENTS
+            status, _, scraped = _get(server.url + "/metrics")
+            hub.render_metrics()
+            assert FluidEngine.TOTAL_EVENTS == before
 
-        def _once(progress) -> None:
-            for job in jobs:
-                for scheduler in schedulers:
-                    run_with_scheduler(job, tiny_cluster, scheduler,
-                                       progress=progress)
-
-        def _best(make_plane) -> float:
-            best = float("inf")
-            for _ in range(5):
-                progress, teardown = make_plane()
-                t0 = time.perf_counter()
-                _once(progress)
-                best = min(best, time.perf_counter() - t0)
-                teardown()
-            return best
-
-        _once(None)  # warm-up
-
-        t_off = _best(lambda: (None, lambda: None))
-
-        def _serving_plane():
-            pub = TelemetryPublisher(run_id="bench",
-                                     total_jobs=len(jobs) * 2)
-            hub = LiveHub(bus=pub.bus)
-            server = LiveServer(hub, port=0).start()
-            return pub, server.close
-
-        t_on = _best(_serving_plane)
-        assert t_on <= t_off * 1.05 + 0.025, (
-            f"live plane overhead too high: on={t_on:.4f}s off={t_off:.4f}s "
-            f"({t_on / t_off - 1:.1%})"
-        )
+        assert_off_the_event_loop(pub, on, off)
+        assert status == 200 and validate_openmetrics_text(scraped) == []
+        samples, _, _ = parse_openmetrics_text(scraped)
+        done_key = ("repro_live_jobs_completed_total", (("run", "replay"),))
+        assert samples[done_key] == float(len(on))
 
 
 # --------------------------------------------------------------------- #

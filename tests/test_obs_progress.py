@@ -10,11 +10,10 @@ timed, so the check cannot flake under load.
 """
 
 import io
-import math
 import time
 
 from repro.core import DelayStageParams
-from repro.obs.progress import DEFAULT_PROGRESS_EVERY, ProgressReporter, engine_hook
+from repro.obs.progress import ProgressReporter, engine_hook
 from repro.schedulers import (
     DelayStageScheduler,
     FuxiScheduler,
@@ -22,6 +21,8 @@ from repro.schedulers import (
     run_with_scheduler,
 )
 from repro.trace import TraceGeneratorConfig, generate_trace, to_job
+
+from .testutil import CountingPublisher, assert_off_the_event_loop, replay_shaped_runs
 
 
 class _FakeEngine:
@@ -125,70 +126,13 @@ def test_no_stderr_without_progress(tiny_cluster, capsys):
 # bounded work: heartbeats per event interval, callbacks per run
 
 
-class _CountingReporter(ProgressReporter):
+class _CountingReporter(CountingPublisher, ProgressReporter):
     """A reporter that counts the protocol calls it receives."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.calls: "dict[str, int]" = {}
-        self.published = 0
-        self.bus.subscribe(self._count_event)
-
-    def _count_event(self, _event):
-        self.published += 1
-
-    def _note(self, name):
-        self.calls[name] = self.calls.get(name, 0) + 1
-
-    def engine_tick(self, engine):
-        self._note("engine_tick")
-        super().engine_tick(engine)
-
-    def schedule_computed(self, scheduler, info):
-        self._note("schedule_computed")
-        super().schedule_computed(scheduler, info)
-
-    def job_done(self, jct=None):
-        self._note("job_done")
-        super().job_done(jct)
-
-
-def _fingerprint(run):
-    """Everything a run produced, as an exactly comparable string."""
-    records = sorted((k, sorted(vars(r).items()))
-                     for k, r in run.result.stage_records.items())
-    jobs = sorted((k, sorted(vars(r).items()))
-                  for k, r in run.result.job_records.items())
-    return repr((records, jobs, run.delay_table, run.result.counters))
 
 
 def test_progress_stays_off_the_event_loop(tiny_cluster):
-    trace = generate_trace(
-        TraceGeneratorConfig(num_jobs=8, replay_workers=2, max_stages=20),
-        rng=0,
-    )
-    jobs = [to_job(tj) for tj in trace[:4]]
-    schedulers = [
-        FuxiScheduler(track_metrics=False),
-        DelayStageScheduler(profiled=False, track_metrics=False,
-                            params=DelayStageParams(max_slots=8)),
-    ]
-    off = [run_with_scheduler(job, tiny_cluster, s)
-           for job in jobs for s in schedulers]
+    off = replay_shaped_runs(tiny_cluster)
     rep = _CountingReporter("bench", total_jobs=len(off), stream=io.StringIO())
-    on = [run_with_scheduler(job, tiny_cluster, s, progress=rep)
-          for job in jobs for s in schedulers]
+    on = replay_shaped_runs(tiny_cluster, progress=rep)
     rep.close()
-
-    assert [_fingerprint(r) for r in on] == [_fingerprint(r) for r in off]
-    runs = len(on)
-    heartbeats = sum(
-        math.ceil(r.result.counters["engine_events"] / DEFAULT_PROGRESS_EVERY)
-        for r in on
-    )
-    # In-loop heartbeats, plus one closing tick per run.
-    assert rep.calls["engine_tick"] <= heartbeats + runs
-    assert rep.calls["schedule_computed"] == runs
-    assert rep.calls["job_done"] == runs
-    # Each call publishes one bus event, plus the closing run_finished.
-    assert rep.published == sum(rep.calls.values()) + 1
+    assert_off_the_event_loop(rep, on, off)

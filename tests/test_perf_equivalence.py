@@ -492,16 +492,3 @@ def test_track_events_off_only_drops_events():
     assert loud.events
     for key in loud.stage_records:
         assert _records_equal(quiet.stage_records[key], loud.stage_records[key])
-
-
-def test_bench_quick_smoke():
-    from repro.bench import run_benchmarks
-
-    (result,) = run_benchmarks(["alg1"], quick=True)
-    assert result.name == "alg1"
-    assert result.equivalent
-    assert result.wall_s > 0 and result.baseline_wall_s > 0
-    payload = result.to_dict()
-    for key in ("name", "wall_s", "jobs_per_s", "events_per_s",
-                "manifest_hash", "baseline", "speedup"):
-        assert key in payload

@@ -91,35 +91,3 @@ def test_measure_cluster_rejects_negative_noise():
 
     with pytest.raises(ValueError):
         measure_cluster(uniform_cluster(1), noise=-0.1)
-
-
-# --------------------------------------------------------------------- #
-# self-profiling (repro bench --profile)
-
-
-def test_capture_hotspots_runs_and_reports():
-    from repro.profiling import capture_hotspots
-
-    def work():
-        return sum(i * i for i in range(1000))
-
-    result, report = capture_hotspots(work, name="unit", top=5)
-    assert result == sum(i * i for i in range(1000))
-    assert report.name == "unit"
-    assert report.total_calls > 0
-    assert "top 5 by cumulative" in report.text
-    assert "top 5 by tottime" in report.text
-    assert report.summary().startswith("unit:")
-
-
-def test_profile_benchmarks_writes_artifacts(tmp_path):
-    from repro.bench import profile_benchmarks, write_profiles
-
-    pairs = profile_benchmarks(["alg1"], quick=True)
-    (result, report) = pairs[0]
-    assert result.equivalent
-    assert report.name == "alg1"
-    paths = write_profiles([report], str(tmp_path))
-    assert paths == [str(tmp_path / "PROFILE_alg1.txt")]
-    text = (tmp_path / "PROFILE_alg1.txt").read_text(encoding="utf-8")
-    assert "delay_stage_schedule" in text
